@@ -1,25 +1,17 @@
 GO ?= go
 
-.PHONY: build lint lint-fast test race bench bench-gate bench-baseline artifacts serve-smoke refresh-smoke forecast-smoke serve-bench chaos-smoke shard-smoke shard-bench fuzz-short
+.PHONY: build lint test race bench bench-gate bench-baseline artifacts serve-smoke refresh-smoke forecast-smoke serve-bench chaos-smoke shard-smoke shard-bench fuzz-short
 
 build:
 	$(GO) build ./...
 
 # Domain lint: icnvet machine-checks the pipeline's determinism,
 # concurrency and error-handling contracts, including the cross-package
-# dataflow analyzers (see DESIGN.md §13). Always a full, cache-free run —
-# this is what CI gates on.
+# dataflow analyzers (see DESIGN.md §13).
 lint: build
 	$(GO) run ./cmd/icnvet
 
-# Incremental domain lint: packages whose content hash is unchanged replay
-# findings and facts from .icnvet-cache instead of being re-type-checked,
-# so the edit-test loop pays for the packages it touched (plus their
-# importers), not the whole module.
-lint-fast: build
-	$(GO) run ./cmd/icnvet -incremental
-
-test: lint-fast
+test: lint
 	$(GO) test ./...
 
 # Full suite under the race detector — the shared worker pool and the
@@ -44,9 +36,10 @@ bench-gate:
 bench-baseline:
 	-$(GO) run ./cmd/icnbench -quiet -gateruns 3 -gate BENCH_baseline.json -benchjson BENCH_baseline.json
 
-# Regenerate every table/figure and the machine-readable stage timings.
+# Regenerate every table/figure. Machine-readable stage timings live in
+# BENCH_baseline.json (make bench-baseline).
 artifacts:
-	$(GO) run ./cmd/icnbench -benchjson BENCH_pipeline.json
+	$(GO) run ./cmd/icnbench
 
 # End-to-end smoke of the online service: start icnserve at a tiny scale,
 # ingest a probe batch, classify, scrape /metrics, stop it gracefully.

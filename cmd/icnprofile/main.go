@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -31,7 +32,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "icnprofile: %v\n", err)
 		os.Exit(1)
 	}
-	profiles := core.BuildProfiles(res, core.Options{TopServices: *top})
+	profiles, err := core.BuildProfiles(context.Background(), res, core.Options{TopServices: *top})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "icnprofile: %v\n", err)
+		os.Exit(1)
+	}
 	plans := core.PlanSlices(profiles)
 
 	fmt.Printf("pipeline: %d antennas, %d clusters, purity %.3f, Cramér's V %.3f\n\n",

@@ -7,10 +7,8 @@
 // Usage:
 //
 //	icnvet [-C dir] [-json] [-analyzers poolgo,errwrap] [-list]
-//	       [-incremental] [-time] [-allows] [-facts-debug]
+//	       [-time] [-allows] [-facts-debug]
 //
-// -incremental keys each package's analysis on a content hash (stored
-// under <module>/.icnvet-cache) so unchanged packages replay instantly;
 // -allows prints the suppression-debt report (every //lint:allow with its
 // reason and whether it fired); -facts-debug dumps the cross-package fact
 // store; -time breaks the run down by phase and analyzer.
@@ -36,7 +34,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	names := flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 	list := flag.Bool("list", false, "list available analyzers and exit")
-	incremental := flag.Bool("incremental", false, "use the content-hash cache under <module>/.icnvet-cache")
 	timing := flag.Bool("time", false, "print the per-phase and per-analyzer timing breakdown")
 	allows := flag.Bool("allows", false, "print the suppression-debt report instead of findings")
 	factsDebug := flag.Bool("facts-debug", false, "dump the cross-package fact store")
@@ -59,7 +56,7 @@ func main() {
 		}
 	}
 
-	res, err := lint.RunModule(lint.Options{Dir: *dir, Analyzers: analyzers, Cache: *incremental})
+	res, err := lint.RunModule(lint.Options{Dir: *dir, Analyzers: analyzers})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "icnvet: %v\n", err)
 		os.Exit(2)
@@ -100,13 +97,11 @@ func main() {
 	}
 }
 
-// printTiming renders the phase breakdown, one row per phase (load is the
-// type-checking row the incremental cache exists to eliminate) and one per
-// analyzer.
+// printTiming renders the phase breakdown, one row per phase (load covers
+// parsing and type-checking, the bulk of a run) and one per analyzer.
 func printTiming(t lint.Timing) {
 	w := tabwriter.NewWriter(os.Stderr, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "phase\tscan\t%v\n", t.Scan.Round(timeUnit(t.Scan)))
-	fmt.Fprintf(w, "phase\tload\t%v\t(%d/%d packages cached)\n", t.Load.Round(timeUnit(t.Load)), t.Cached, t.Packages)
+	fmt.Fprintf(w, "phase\tload\t%v\t(%d packages)\n", t.Load.Round(timeUnit(t.Load)), t.Packages)
 	fmt.Fprintf(w, "phase\tanalyze\t%v\n", t.Analyze.Round(timeUnit(t.Analyze)))
 	fmt.Fprintf(w, "phase\tfinish\t%v\n", t.Finish.Round(timeUnit(t.Finish)))
 	for _, a := range t.Analyzers {

@@ -20,7 +20,8 @@ import (
 )
 
 func main() {
-	result, err := icn.Run(context.Background(), icn.Config{
+	ctx := context.Background()
+	result, err := icn.Run(ctx, icn.Config{
 		Seed:        21,
 		Scale:       0.1,
 		ForestTrees: 40,
@@ -47,7 +48,11 @@ func main() {
 	fmt.Println("cluster  group   SMAPE(HW)  SMAPE(naive)  peak-hour-hit")
 	var hwBetter int
 	for c := 0; c < result.K; c++ {
-		series := jitter(result.ClusterHourlySeries(c, 30))
+		raw, err := result.ClusterHourlySeriesContext(ctx, c, 30)
+		if err != nil {
+			log.Fatal(err)
+		}
+		series := jitter(raw)
 		// Traffic volumes are multiplicative: fit in log space so the
 		// model smooths relative (not absolute) variation.
 		hw, err := forecast.BacktestLog(series, holdout, forecast.Config{Alpha: 0.15, Beta: 0.02, Gamma: 0.1})
@@ -75,7 +80,10 @@ func main() {
 	fmt.Println("not a seasonal model.")
 
 	// Operational view: next-morning capacity for the commuter cluster.
-	series := result.ClusterHourlySeries(0, 30)
+	series, err := result.ClusterHourlySeriesContext(ctx, 0, 30)
+	if err != nil {
+		log.Fatal(err)
+	}
 	m, err := forecast.Fit(series, forecast.Config{})
 	if err != nil {
 		panic(err)

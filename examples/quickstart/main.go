@@ -36,7 +36,11 @@ func main() {
 		result.OutdoorShare[1]*100)
 
 	fmt.Println("\nper-cluster profiles:")
-	for _, p := range icn.BuildProfiles(result, icn.ProfileOptions{TopServices: 5}) {
+	profiles, err := icn.BuildProfiles(context.Background(), result, icn.ProfileOptions{TopServices: 5})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, p := range profiles {
 		fmt.Println("  " + p.String())
 	}
 }

@@ -28,7 +28,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	profiles := icn.BuildProfiles(result, icn.ProfileOptions{TopServices: 8})
+	profiles, err := icn.BuildProfiles(context.Background(), result, icn.ProfileOptions{TopServices: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
 	plans := icn.PlanSlices(profiles)
 
 	fmt.Println("environment-aware slice plan (one slice per demand cluster)")

@@ -202,9 +202,10 @@ type ProfileOptions = core.Options
 // from a cluster profile (the Section 7 roadmap of the paper).
 type SlicePlan = core.SlicePlan
 
-// BuildProfiles derives one Profile per discovered cluster.
-func BuildProfiles(res *Result, opts ProfileOptions) []Profile {
-	return core.BuildProfiles(res, opts)
+// BuildProfiles derives one Profile per discovered cluster. The only
+// failure mode is ctx cancellation.
+func BuildProfiles(ctx context.Context, res *Result, opts ProfileOptions) ([]Profile, error) {
+	return core.BuildProfiles(ctx, res, opts)
 }
 
 // PlanSlices derives a network-slice plan per cluster profile.

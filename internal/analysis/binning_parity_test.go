@@ -1,20 +1,18 @@
 package analysis
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
-	"repro/internal/forest"
 	"repro/internal/synth"
 )
 
-// TestBinnedForestGoldenParity is the golden check of the histogram-
-// binning refactor at pipeline level: on the seeded synthetic dataset the
-// golden fixtures use (scale 0.05 ≈ 238 indoor antennas, so every RSCA
-// column stays within MaxBins distinct values), the staged run's binned
-// surrogate must be bit-identical — trees, OOB accuracy, Labels and
-// OutdoorLabels — to the pre-binning exact-sort implementation.
+// TestBinnedForestGoldenParity is the forest-free half of the histogram-
+// binning golden check: on the seeded synthetic dataset the golden
+// fixtures use (scale 0.05), the staged run's Labels come from clustering
+// and must be untouched by the forest refactor. The trees, OOB accuracy
+// and OutdoorLabels half, which needs the sort-based reference forest,
+// lives in package forest.
 func TestBinnedForestGoldenParity(t *testing.T) {
 	cfg := Config{Seed: 3, Scale: 0.05, OutdoorCount: 200, ForestTrees: 25}
 	ds := synth.Generate(synth.Config{Seed: cfg.Seed, Scale: cfg.Scale, OutdoorCount: cfg.OutdoorCount})
@@ -22,46 +20,8 @@ func TestBinnedForestGoldenParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("staged run: %v", err)
 	}
-	for j := 0; j < res.RSCA.Cols(); j++ {
-		if !forest.BinFeatures(res.RSCA).Feature(j).Exact {
-			t.Fatalf("fixture column %d left the exact-binning regime; shrink the fixture", j)
-		}
-	}
-
-	c := cfg.withDefaults()
-	exact := forest.Train(res.RSCA, res.Labels, res.K, forest.Config{
-		Trees:     c.ForestTrees,
-		MaxDepth:  c.ForestDepth,
-		Seed:      c.Seed + 1,
-		ExactSort: true,
-	})
-	if !reflect.DeepEqual(exact.Trees, res.Surrogate.Trees) {
-		t.Fatal("binned surrogate trees diverge from the exact-sort reference")
-	}
-	if !reflect.DeepEqual(exact.OOBAccuracy, res.Surrogate.OOBAccuracy) {
-		t.Fatalf("OOB accuracy diverges: %v vs %v", exact.OOBAccuracy, res.Surrogate.OOBAccuracy)
-	}
-
-	// Labels come from clustering and must be untouched by the forest
-	// refactor; OutdoorLabels must survive an exact-reference reclassify.
-	refRes := &Result{Config: c, Dataset: ds, K: res.K, Surrogate: exact}
-	if err := refRes.classifyOutdoor(context.Background()); err != nil {
-		t.Fatalf("reference outdoor classification: %v", err)
-	}
-	seq := computeSequentialLabels(t, ds, c)
-	if !reflect.DeepEqual(res.Labels, seq) {
+	seq := computeSequential(t, ds, cfg.withDefaults())
+	if !reflect.DeepEqual(res.Labels, seq.Labels) {
 		t.Fatal("Labels diverge from the pre-binning implementation")
 	}
-	if !reflect.DeepEqual(res.OutdoorLabels, refRes.OutdoorLabels) {
-		t.Fatal("OutdoorLabels diverge from the pre-binning implementation")
-	}
-}
-
-// computeSequentialLabels recomputes the flat-cut labels the way the
-// pre-binning sequential code did (forest-free, so shared with any split
-// search).
-func computeSequentialLabels(t *testing.T, ds *synth.Dataset, cfg Config) []int {
-	t.Helper()
-	ref := computeSequential(t, ds, cfg)
-	return ref.Labels
 }

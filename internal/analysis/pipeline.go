@@ -45,12 +45,6 @@ type Config struct {
 	// ForecastSample bounds the per-cluster antenna sample the forecast
 	// stage trains on (default 40, matching the temporal profile cap).
 	ForecastSample int
-	// TemporalExactSort computes temporal medians with the legacy
-	// sort-based stats.Median instead of the default counting-sort
-	// selection. The two are value-identical on every input (see
-	// TestTemporalProfilesExactSortParity); the gate exists as the parity
-	// reference, mirroring forest.Config.ExactSort.
-	TemporalExactSort bool
 }
 
 func (c Config) withDefaults() Config {

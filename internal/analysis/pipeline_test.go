@@ -228,7 +228,7 @@ func TestExplainClusterFindsSignatureServices(t *testing.T) {
 
 func TestClusterTemporalProfiles(t *testing.T) {
 	r := testResult(t)
-	profiles := r.ClusterTemporalProfiles(25)
+	profiles := clusterProfiles(t, r, 25)
 	if len(profiles) != r.K {
 		t.Fatalf("%d profiles", len(profiles))
 	}
@@ -276,13 +276,13 @@ func TestClusterTemporalProfiles(t *testing.T) {
 func TestServiceTemporalProfiles(t *testing.T) {
 	r := testResult(t)
 	teams := services.MustID("Microsoft Teams")
-	profiles := r.ServiceTemporalProfiles(teams, 20)
+	profiles := serviceProfiles(t, r, teams, 20)
 	// Teams in cluster 3 peaks during office hours.
 	if h := profiles[3].PeakHour(); h < 9 || h > 18 {
 		t.Fatalf("Teams peak hour in workspaces: %d", h)
 	}
 	netflix := services.MustID("Netflix")
-	nProfiles := r.ServiceTemporalProfiles(netflix, 20)
+	nProfiles := serviceProfiles(t, r, netflix, 20)
 	// Netflix in cluster 1/2 peaks in the evening.
 	if h := nProfiles[1].PeakHour(); h < 18 {
 		t.Fatalf("Netflix peak hour in cluster 1: %d", h)
@@ -325,7 +325,7 @@ func TestProximityContrast(t *testing.T) {
 
 func TestClusterHourlySeries(t *testing.T) {
 	r := testResult(t)
-	series := r.ClusterHourlySeries(0, 10)
+	series := hourlySeries(t, r, 0, 10)
 	if len(series) != r.Dataset.Cal.Hours() {
 		t.Fatalf("series length %d", len(series))
 	}

@@ -236,7 +236,7 @@ func fitForecastSet(ctx context.Context, ds *synth.Dataset, cfg Config, k int, l
 			pos++
 			cs.Antennas = append(cs.Antennas, forecast.AntennaSeries{Antenna: idx, Series: perAntenna[i]})
 		}
-		cs.Series = medianWindow(perAntenna, 0, hours, cfg.TemporalExactSort)
+		cs.Series = medianWindow(perAntenna, 0, hours)
 		clusters[c] = cs
 	}
 	return forecast.FitSet(clusters, forecast.Config{})

@@ -40,42 +40,12 @@ func (r *Result) ClusterTemporalProfilesContext(ctx context.Context, maxAntennas
 	return r.temporalProfiles(ctx, -1, maxAntennasPerCluster)
 }
 
-// ClusterTemporalProfiles is ClusterTemporalProfilesContext without
-// cancellation.
-//
-// Deprecated: use ClusterTemporalProfilesContext so a cancelled pipeline
-// does not keep burning the worker pool on temporal fan-out.
-func (r *Result) ClusterTemporalProfiles(maxAntennasPerCluster int) []TemporalProfile {
-	out, err := r.ClusterTemporalProfilesContext(context.Background(), maxAntennasPerCluster)
-	if err != nil {
-		// The background context is never cancelled and cancellation is
-		// the only error source.
-		//lint:allow nopanic background context cannot be cancelled
-		panic(err)
-	}
-	return out
-}
-
 // ServiceTemporalProfilesContext computes the Fig. 11 heatmaps for one
 // service: per cluster, the normalized median of the service's hourly
 // traffic. Results are memoized per (service, cap) with single-flight
 // semantics and must be treated as read-only by callers.
 func (r *Result) ServiceTemporalProfilesContext(ctx context.Context, serviceID, maxAntennasPerCluster int) ([]TemporalProfile, error) {
 	return r.temporalProfiles(ctx, serviceID, maxAntennasPerCluster)
-}
-
-// ServiceTemporalProfiles is ServiceTemporalProfilesContext without
-// cancellation.
-//
-// Deprecated: use ServiceTemporalProfilesContext so a cancelled pipeline
-// does not keep burning the worker pool on temporal fan-out.
-func (r *Result) ServiceTemporalProfiles(serviceID int, maxAntennasPerCluster int) []TemporalProfile {
-	out, err := r.ServiceTemporalProfilesContext(context.Background(), serviceID, maxAntennasPerCluster)
-	if err != nil {
-		//lint:allow nopanic background context cannot be cancelled
-		panic(err)
-	}
-	return out
 }
 
 // temporalProfiles returns the memoized per-cluster profile set for one
@@ -130,11 +100,10 @@ func (r *Result) computeTemporalProfiles(ctx context.Context, serviceID, cap int
 	if err := r.fillSeriesCache(ctx, members, serviceID); err != nil {
 		return nil, err
 	}
-	exact := r.Config.TemporalExactSort
 	out := make([]TemporalProfile, r.K)
 	err := pipe.FromContext(ctx).ForEach(ctx, r.K, func(c int) {
 		perAntenna := r.cachedSeries(members[c], serviceID)
-		med := medianWindow(perAntenna, firstDay*24, hours, exact)
+		med := medianWindow(perAntenna, firstDay*24, hours)
 		out[c] = TemporalProfile{Cluster: c, FirstDay: firstDay, Hours: stats.Normalize(med)}
 	})
 	if err != nil {
@@ -207,11 +176,9 @@ func (r *Result) cachedSeries(members []int, serviceID int) [][]float64 {
 
 // medianWindow reduces per-antenna hourly series to the per-hour median
 // over [offset, offset+hours). One column buffer and one counting-sort
-// scratch are reused across all hours; exact selects the legacy
-// sort-based stats.Median instead of the default binned selection (the
-// two are value-identical — see TestTemporalProfilesExactSortParity —
-// so the gate exists purely as a parity reference).
-func medianWindow(perAntenna [][]float64, offset, hours int, exact bool) []float64 {
+// scratch are reused across all hours; the result is value-identical to
+// the sort-based stats.Median (see TestTemporalProfilesExactSortParity).
+func medianWindow(perAntenna [][]float64, offset, hours int) []float64 {
 	med := make([]float64, hours)
 	if len(perAntenna) == 0 {
 		return med
@@ -222,11 +189,7 @@ func medianWindow(perAntenna [][]float64, offset, hours int, exact bool) []float
 		for mi := range perAntenna {
 			column[mi] = perAntenna[mi][offset+h]
 		}
-		if exact {
-			med[h] = stats.Median(column)
-		} else {
-			med[h] = scratch.Median(column)
-		}
+		med[h] = scratch.Median(column)
 	}
 	return med
 }
@@ -247,20 +210,7 @@ func (r *Result) ClusterHourlySeriesContext(ctx context.Context, clusterID, maxA
 		return nil, err
 	}
 	perAntenna := r.cachedSeries(members, -1)
-	return medianWindow(perAntenna, 0, hours, r.Config.TemporalExactSort), nil
-}
-
-// ClusterHourlySeries is ClusterHourlySeriesContext without cancellation.
-//
-// Deprecated: use ClusterHourlySeriesContext so a cancelled caller does
-// not keep burning the worker pool.
-func (r *Result) ClusterHourlySeries(clusterID, maxAntennas int) []float64 {
-	out, err := r.ClusterHourlySeriesContext(context.Background(), clusterID, maxAntennas)
-	if err != nil {
-		//lint:allow nopanic background context cannot be cancelled
-		panic(err)
-	}
-	return out
+	return medianWindow(perAntenna, 0, hours), nil
 }
 
 // RefitForecasts retrains the busy-hour forecast set from scratch on this

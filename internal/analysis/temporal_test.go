@@ -9,6 +9,35 @@ import (
 	"repro/internal/stats"
 )
 
+// clusterProfiles, serviceProfiles and hourlySeries call the temporal
+// APIs without cancellation, failing the test on any error.
+func clusterProfiles(t *testing.T, r *Result, cap int) []TemporalProfile {
+	t.Helper()
+	out, err := r.ClusterTemporalProfilesContext(context.Background(), cap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func serviceProfiles(t *testing.T, r *Result, serviceID, cap int) []TemporalProfile {
+	t.Helper()
+	out, err := r.ServiceTemporalProfilesContext(context.Background(), serviceID, cap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func hourlySeries(t *testing.T, r *Result, clusterID, maxAntennas int) []float64 {
+	t.Helper()
+	out, err := r.ClusterHourlySeriesContext(context.Background(), clusterID, maxAntennas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // referenceProfiles replicates the pre-optimization temporal path —
 // per-antenna series recomputed per call, per-hour column gather, the
 // sort-based stats.Median, stats.Normalize — as the golden parity
@@ -51,9 +80,9 @@ func TestTemporalProfilesGoldenParity(t *testing.T) {
 	for _, serviceID := range []int{-1, services.MustID("Netflix")} {
 		var got []TemporalProfile
 		if serviceID < 0 {
-			got = r.ClusterTemporalProfiles(25)
+			got = clusterProfiles(t, r, 25)
 		} else {
-			got = r.ServiceTemporalProfiles(serviceID, 25)
+			got = serviceProfiles(t, r, serviceID, 25)
 		}
 		want := referenceProfiles(r, serviceID, 25)
 		if len(got) != len(want) {
@@ -73,34 +102,38 @@ func TestTemporalProfilesGoldenParity(t *testing.T) {
 	}
 }
 
-// The TemporalExactSort gate must be a pure parity reference: flipping
-// it changes nothing in the output.
+// The counting-sort medians must be value-identical to the sort-based
+// stats.Median on the same cached series, for the windowed profiles and
+// the full-calendar forecasting series alike.
 func TestTemporalProfilesExactSortParity(t *testing.T) {
 	r := testResult(t)
-	cfg := r.Config
-	cfg.TemporalExactSort = true
-	exact := &Result{Config: cfg, Dataset: r.Dataset, K: r.K, Labels: r.Labels}
-	got := r.ClusterTemporalProfiles(25)
-	want := exact.ClusterTemporalProfiles(25)
-	for c := range want {
-		for h := range want[c].Hours {
-			if got[c].Hours[h] != want[c].Hours[h] {
-				t.Fatalf("cluster %d hour %d: binned %v != exact-sort %v",
-					c, h, got[c].Hours[h], want[c].Hours[h])
+	sortMedians := func(perAntenna [][]float64, offset, hours int) []float64 {
+		med := make([]float64, hours)
+		column := make([]float64, len(perAntenna))
+		for h := range med {
+			for mi := range perAntenna {
+				column[mi] = perAntenna[mi][offset+h]
+			}
+			med[h] = stats.Median(column)
+		}
+		return med
+	}
+	got := clusterProfiles(t, r, 25)
+	firstDay, _, hours := r.windowBounds()
+	for c := range got {
+		perAntenna := r.cachedSeries(subsample(r.ClusterMembers(c), 25), -1)
+		want := stats.Normalize(sortMedians(perAntenna, firstDay*24, hours))
+		for h := range want {
+			if got[c].Hours[h] != want[h] {
+				t.Fatalf("cluster %d hour %d: binned %v != exact-sort %v", c, h, got[c].Hours[h], want[h])
 			}
 		}
 	}
-	series, err := r.ClusterHourlySeriesContext(context.Background(), 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactSeries, err := exact.ClusterHourlySeriesContext(context.Background(), 0, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for h := range exactSeries {
-		if series[h] != exactSeries[h] {
-			t.Fatalf("hourly series hour %d: binned %v != exact-sort %v", h, series[h], exactSeries[h])
+	series := hourlySeries(t, r, 0, 10)
+	want := sortMedians(r.cachedSeries(subsample(r.ClusterMembers(0), 10), -1), 0, len(series))
+	for h := range want {
+		if series[h] != want[h] {
+			t.Fatalf("hourly series hour %d: binned %v != exact-sort %v", h, series[h], want[h])
 		}
 	}
 }
@@ -166,7 +199,7 @@ func TestClusterHourlySeriesGoldenParity(t *testing.T) {
 			perHour[h] = append(perHour[h], series[h])
 		}
 	}
-	got := r.ClusterHourlySeries(2, 10)
+	got := hourlySeries(t, r, 2, 10)
 	for h := 0; h < hours; h++ {
 		if want := stats.Median(perHour[h]); got[h] != want {
 			t.Fatalf("hour %d: %v != %v (not bit-identical)", h, got[h], want)

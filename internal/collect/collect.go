@@ -79,13 +79,6 @@ func defaultSettings() settings {
 // point are ignored by it.
 type Option func(*settings)
 
-// ExportOption customizes Export.
-//
-// Deprecated: the option surfaces are unified; every option constructor now
-// returns an Option usable with both ListenContext and Export. ExportOption
-// remains as an alias so existing call sites compile unchanged.
-type ExportOption = Option
-
 // WithReadTimeout bounds how long a connection may stay silent before it
 // is dropped (default 30s; tests use shorter values).
 func WithReadTimeout(d time.Duration) Option {
@@ -130,15 +123,6 @@ func ListenContext(ctx context.Context, addr string, opts ...Option) (*Collector
 		c.sink = NewSink()
 	}
 	return c, nil
-}
-
-// Listen starts a collector on addr.
-//
-// Deprecated: use ListenContext, which is context-first like the rest of
-// the module's entry points. Listen is ListenContext with
-// context.Background().
-func Listen(addr string, opts ...Option) (*Collector, error) {
-	return ListenContext(context.Background(), addr, opts...)
 }
 
 // Addr returns the listener address (useful with ephemeral ports).

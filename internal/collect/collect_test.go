@@ -271,7 +271,7 @@ func TestReadTimeoutDropsSilentConn(t *testing.T) {
 }
 
 func BenchmarkExportAggregate(b *testing.B) {
-	c, err := Listen("127.0.0.1:0")
+	c, err := ListenContext(context.Background(), "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}

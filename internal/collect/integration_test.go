@@ -27,7 +27,7 @@ func TestMeasurementToAnalysisPipeline(t *testing.T) {
 	ds := synth.Generate(synth.Config{Seed: 77, Scale: 0.04, OutdoorCount: 100})
 	n := len(ds.Indoor)
 
-	c, err := Listen("127.0.0.1:0", WithReadTimeout(5*time.Second))
+	c, err := ListenContext(context.Background(), "127.0.0.1:0", WithReadTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,18 +65,3 @@ func TestExportSeedDefaultsFromAddr(t *testing.T) {
 		t.Fatal("WithRetrySeed(0) should mark the seed as explicitly set")
 	}
 }
-
-// TestDeprecatedShims keeps the pre-unification spellings compiling and
-// working: Listen without a context, and ExportOption as an Option alias.
-func TestDeprecatedShims(t *testing.T) {
-	var _ ExportOption = WithDialRetry(1, time.Millisecond)
-
-	c, err := Listen("127.0.0.1:0", WithReadTimeout(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.Addr() == nil {
-		t.Fatal("deprecated Listen returned no bound address")
-	}
-}

@@ -48,7 +48,7 @@ func TestExportRetrySurvivesLateCollector(t *testing.T) {
 
 	// Let at least one dial fail before the collector appears.
 	time.Sleep(50 * time.Millisecond)
-	c, err := Listen(addr)
+	c, err := ListenContext(context.Background(), addr)
 	if err != nil {
 		t.Fatalf("re-listen on %s: %v", addr, err)
 	}
@@ -137,7 +137,7 @@ func TestBackoffDelayLargeBudgetNoOverflow(t *testing.T) {
 // fault layer's dialer: with a 60% refusal rate and a healthy retry
 // budget, the export must land every record on a live collector.
 func TestExportSurvivesInjectedDialRefusals(t *testing.T) {
-	c, err := Listen("127.0.0.1:0")
+	c, err := ListenContext(context.Background(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -76,11 +77,15 @@ func (o Options) withDefaults() Options {
 }
 
 // BuildProfiles derives one Profile per cluster from a pipeline result.
-func BuildProfiles(res *analysis.Result, opts Options) []Profile {
+// The only failure mode is ctx cancellation during the temporal fan-out.
+func BuildProfiles(ctx context.Context, res *analysis.Result, opts Options) ([]Profile, error) {
 	opts = opts.withDefaults()
 	names := services.Names()
 	rowShares := res.Contingency.RowShares()
-	temporal := res.ClusterTemporalProfiles(opts.TemporalAntennas)
+	temporal, err := res.ClusterTemporalProfilesContext(ctx, opts.TemporalAntennas)
+	if err != nil {
+		return nil, fmt.Errorf("core: temporal profiles: %w", err)
+	}
 	sizes := res.ClusterSizes()
 
 	profiles := make([]Profile, res.K)
@@ -112,7 +117,7 @@ func BuildProfiles(res *analysis.Result, opts Options) []Profile {
 		}
 		profiles[c] = p
 	}
-	return profiles
+	return profiles, nil
 }
 
 // DominantEnv returns the profile's leading environment.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,9 +28,18 @@ func testResult(t *testing.T) *analysis.Result {
 	return resultCache
 }
 
+func buildProfiles(t *testing.T, res *analysis.Result, opts Options) []Profile {
+	t.Helper()
+	profiles, err := BuildProfiles(context.Background(), res, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return profiles
+}
+
 func TestBuildProfilesComplete(t *testing.T) {
 	res := testResult(t)
-	profiles := BuildProfiles(res, Options{})
+	profiles := buildProfiles(t, res, Options{})
 	if len(profiles) != res.K {
 		t.Fatalf("%d profiles for %d clusters", len(profiles), res.K)
 	}
@@ -69,7 +79,7 @@ func TestBuildProfilesComplete(t *testing.T) {
 
 func TestProfilesMatchPaperNarrative(t *testing.T) {
 	res := testResult(t)
-	profiles := BuildProfiles(res, Options{})
+	profiles := buildProfiles(t, res, Options{})
 	// Orange clusters: transit-dominated.
 	for _, c := range []int{0, 4, 7} {
 		env := profiles[c].DominantEnv().Env
@@ -107,7 +117,7 @@ func TestProfilesMatchPaperNarrative(t *testing.T) {
 
 func TestProfileString(t *testing.T) {
 	res := testResult(t)
-	profiles := BuildProfiles(res, Options{TopServices: 5})
+	profiles := buildProfiles(t, res, Options{TopServices: 5})
 	s := profiles[3].String()
 	if !strings.Contains(s, "cluster 3") || !strings.Contains(s, "antennas") {
 		t.Fatalf("profile string: %s", s)
@@ -116,7 +126,7 @@ func TestProfileString(t *testing.T) {
 
 func TestPlanSlices(t *testing.T) {
 	res := testResult(t)
-	profiles := BuildProfiles(res, Options{})
+	profiles := buildProfiles(t, res, Options{})
 	plans := PlanSlices(profiles)
 	if len(plans) != len(profiles) {
 		t.Fatal("plan count")

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/cluster"
 	"repro/internal/envmodel"
 	"repro/internal/mat"
@@ -176,7 +178,11 @@ func (s *Suite) Figure9() Artifact {
 
 // Figure10 regenerates the per-cluster temporal heatmaps.
 func (s *Suite) Figure10() Artifact {
-	profiles := s.Res.ClusterTemporalProfiles(s.TemporalAntennasPerCluster)
+	const figure10Title = "Fig. 10 — per-cluster normalized median traffic heatmaps"
+	profiles, err := s.Res.ClusterTemporalProfilesContext(context.Background(), s.TemporalAntennasPerCluster)
+	if err != nil {
+		return failedArtifact("F10", figure10Title, err)
+	}
 	var b strings.Builder
 	cal := s.Res.Dataset.Cal
 	for _, p := range profiles {
@@ -206,7 +212,7 @@ func (s *Suite) Figure10() Artifact {
 	strike7 := p7.StrikeDip(s.Res)
 	return Artifact{
 		ID:    "F10",
-		Title: "Fig. 10 — per-cluster normalized median traffic heatmaps",
+		Title: figure10Title,
 		Text:  b.String(),
 		Checks: []Check{
 			check("commute-peaks", commutePeak >= 7 && commutePeak <= 19, "cluster 0 peak hour %d", commutePeak),
@@ -221,13 +227,22 @@ func (s *Suite) Figure10() Artifact {
 // Figure11 regenerates the per-service temporal heatmaps for the services
 // the paper selects per group.
 func (s *Suite) Figure11() Artifact {
+	const figure11Title = "Fig. 11 — per-service normalized median traffic heatmaps"
 	cal := s.Res.Dataset.Cal
 	var b strings.Builder
 	var checks []Check
 
+	byService := map[string][]analysis.TemporalProfile{}
+	for _, service := range []string{"Spotify", "Microsoft Teams", "Netflix", "Snapchat", "Waze"} {
+		profiles, err := s.Res.ServiceTemporalProfilesContext(context.Background(), services.MustID(service), s.TemporalAntennasPerCluster)
+		if err != nil {
+			return failedArtifact("F11", figure11Title, err)
+		}
+		byService[service] = profiles
+	}
+
 	render := func(service string, clusters []int) map[int]interface{ PeakHour() int } {
-		id := services.MustID(service)
-		profiles := s.Res.ServiceTemporalProfiles(id, s.TemporalAntennasPerCluster)
+		profiles := byService[service]
 		out := map[int]interface{ PeakHour() int }{}
 		for _, c := range clusters {
 			p := profiles[c]
@@ -265,7 +280,7 @@ func (s *Suite) Figure11() Artifact {
 	// Green group: Snapchat bursts with events; Waze lags the venue peak.
 	render("Snapchat", []int{5, 6, 8})
 	waze := render("Waze", []int{6, 8})
-	snap := s.Res.ServiceTemporalProfiles(services.MustID("Snapchat"), s.TemporalAntennasPerCluster)
+	snap := byService["Snapchat"]
 	for _, c := range []int{6} {
 		hw := waze[c].PeakHour()
 		hs := snap[c].PeakHour()
@@ -275,7 +290,7 @@ func (s *Suite) Figure11() Artifact {
 	}
 	return Artifact{
 		ID:     "F11",
-		Title:  "Fig. 11 — per-service normalized median traffic heatmaps",
+		Title:  figure11Title,
 		Text:   b.String(),
 		Checks: checks,
 	}

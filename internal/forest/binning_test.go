@@ -122,9 +122,7 @@ func TestBinnedTreeMatchesExactSort(t *testing.T) {
 			{Features: 2},
 			{MaxDepth: 6, MinLeaf: 3, Features: 3},
 		} {
-			exactCfg := cfg
-			exactCfg.ExactSort = true
-			exact := BuildTree(x, y, nil, 3, exactCfg, rng.New(seed*31))
+			exact := buildTreeExact(x, y, nil, 3, cfg, rng.New(seed*31))
 			binned := BuildTree(x, y, nil, 3, cfg, rng.New(seed*31))
 			if !reflect.DeepEqual(exact.Nodes, binned.Nodes) {
 				t.Fatalf("seed %d cfg %+v: binned tree diverges from exact-sort tree", seed, cfg)
@@ -138,7 +136,7 @@ func TestBinnedTreeMatchesExactSort(t *testing.T) {
 // columns stay in the exact regime.
 func TestBinnedForestMatchesExactSort(t *testing.T) {
 	x, y := labeledBlobs(4, 30, 8, 0.8, 3) // 120 rows < 256
-	exact := Train(x, y, 4, Config{Trees: 20, MaxDepth: 10, Seed: 7, ExactSort: true})
+	exact := trainExact(x, y, 4, Config{Trees: 20, MaxDepth: 10, Seed: 7})
 	binned := Train(x, y, 4, Config{Trees: 20, MaxDepth: 10, Seed: 7})
 	if !reflect.DeepEqual(exact.Trees, binned.Trees) {
 		t.Fatal("binned forest diverges from exact-sort forest")
@@ -160,9 +158,7 @@ func TestTreeMinLeafTieBreakAtBinBoundary(t *testing.T) {
 	if binned.LeafCount() != 1 {
 		t.Fatalf("best boundary leaves 1 sample right of the cut; MinLeaf=2 must reject it, got %d leaves", binned.LeafCount())
 	}
-	exactCfg := cfg
-	exactCfg.ExactSort = true
-	exact := BuildTree(x, y, nil, 2, exactCfg, rng.New(1))
+	exact := buildTreeExact(x, y, nil, 2, cfg, rng.New(1))
 	if !reflect.DeepEqual(exact.Nodes, binned.Nodes) {
 		t.Fatal("MinLeaf rejection diverges between binned and exact paths")
 	}
@@ -172,7 +168,7 @@ func TestTreeMinLeafTieBreakAtBinBoundary(t *testing.T) {
 	x2 := mat.MustFromRows([][]float64{{1}, {1}, {2}, {2}})
 	y2 := []int{0, 0, 1, 1}
 	b2 := BuildTree(x2, y2, nil, 2, cfg, rng.New(1))
-	e2 := BuildTree(x2, y2, nil, 2, exactCfg, rng.New(1))
+	e2 := buildTreeExact(x2, y2, nil, 2, cfg, rng.New(1))
 	if b2.LeafCount() != 2 || b2.Nodes[0].Threshold != 1.5 {
 		t.Fatalf("balanced boundary should split at 1.5, got %+v", b2.Nodes[0])
 	}

@@ -22,10 +22,6 @@ type Config struct {
 	Features int
 	// Seed drives bootstrap sampling and feature subsampling.
 	Seed uint64
-	// ExactSort trains with the legacy sort-based split search instead of
-	// histogram binning — the reference implementation parity tests
-	// compare against (see TreeConfig.ExactSort).
-	ExactSort bool
 }
 
 func (c Config) withDefaults(nFeatures int) Config {
@@ -76,28 +72,33 @@ func TrainContext(ctx context.Context, x *mat.Dense, y []int, classes int, cfg C
 		}
 	}
 	cfg = cfg.withDefaults(x.Cols())
-	root := rng.New(cfg.Seed)
 
+	// Features are binned once per forest — the histogram split search of
+	// every tree shares the read-only codes. Binning consumes no
+	// randomness, so the sort-based reference grower in the tests stays
+	// seed-compatible.
+	binned, err := BinFeaturesContext(ctx, x)
+	if err != nil {
+		return nil, err
+	}
+	treeCfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Features: cfg.Features}
+	return bag(ctx, x, y, classes, cfg, func(idx []int, r *rng.Source) *Tree {
+		return buildTreeBinned(x, binned, y, idx, classes, treeCfg, r)
+	})
+}
+
+// bag trains cfg.Trees trees with grow, each on a bootstrap sample drawn
+// from its own pre-split seed, and scores the ensemble out of bag.
+func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, grow func(idx []int, r *rng.Source) *Tree) (*Forest, error) {
+	n := x.Rows()
+	root := rng.New(cfg.Seed)
 	f := &Forest{Classes: classes}
 	oobVotes := mat.NewDense(n, classes)
 	oobSeen := make([]bool, n)
 
-	// Features are binned once per forest — the histogram split search of
-	// every tree shares the read-only codes. Binning consumes no
-	// randomness, so the exact-sort reference path stays seed-compatible.
-	var binned *Binning
-	if !cfg.ExactSort {
-		var err error
-		binned, err = BinFeaturesContext(ctx, x)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	// Trees are independent given their seed, so they train in parallel on
 	// the shared worker pool; seeds are pre-split sequentially so results
 	// are identical to the serial order regardless of scheduling.
-	treeCfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Features: cfg.Features, ExactSort: cfg.ExactSort}
 	seeds := make([]*rng.Source, cfg.Trees)
 	for t := range seeds {
 		seeds[t] = root.Split()
@@ -114,11 +115,7 @@ func TrainContext(ctx context.Context, x *mat.Dense, y []int, classes int, cfg C
 			idx[i] = s
 			inBag[s] = true
 		}
-		if cfg.ExactSort {
-			f.Trees[t] = BuildTree(x, y, idx, classes, treeCfg, r)
-		} else {
-			f.Trees[t] = buildTreeBinned(x, binned, y, idx, classes, treeCfg, r)
-		}
+		f.Trees[t] = grow(idx, r)
 		inBags[t] = inBag
 	})
 	if err != nil {

@@ -8,7 +8,6 @@ package forest
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/mat"
 	"repro/internal/rng"
@@ -45,49 +44,17 @@ type TreeConfig struct {
 	// Features is the number of features examined per split
 	// (0 = all features; forests pass ~sqrt(M)).
 	Features int
-	// ExactSort selects the legacy sort-based exact split search instead
-	// of the histogram-binned one. The two grow bit-identical trees
-	// whenever every feature column has at most MaxBins distinct values;
-	// the flag exists as the reference implementation for parity tests,
-	// not as a production mode.
-	ExactSort bool
-}
-
-// growContext carries shared state during recursive tree construction on
-// the legacy exact-sort path (TreeConfig.ExactSort).
-type growContext struct {
-	x       *mat.Dense
-	y       []int
-	classes int
-	cfg     TreeConfig
-	r       *rng.Source
-	nodes   []Node
 }
 
 // BuildTree grows a CART tree on the rows of x indexed by idx, with class
-// labels y in [0, classes). A nil idx uses every row. The default split
-// search is histogram-binned (see Binning); TreeConfig.ExactSort selects
-// the sort-based reference search instead.
+// labels y in [0, classes). A nil idx uses every row. The split search is
+// histogram-binned (see Binning).
 func BuildTree(x *mat.Dense, y []int, idx []int, classes int, cfg TreeConfig, r *rng.Source) *Tree {
 	if len(y) != x.Rows() {
 		//lint:allow nopanic paired features and labels derive from one training set
 		panic(fmt.Sprintf("forest: %d labels for %d rows", len(y), x.Rows()))
 	}
-	if cfg.MinLeaf < 1 {
-		cfg.MinLeaf = 1
-	}
-	if !cfg.ExactSort {
-		return buildTreeBinned(x, BinFeatures(x), y, idx, classes, cfg, r)
-	}
-	if idx == nil {
-		idx = make([]int, x.Rows())
-		for i := range idx {
-			idx[i] = i
-		}
-	}
-	g := &growContext{x: x, y: y, classes: classes, cfg: cfg, r: r}
-	g.grow(idx, 0)
-	return &Tree{Nodes: g.nodes, Classes: classes}
+	return buildTreeBinned(x, BinFeatures(x), y, idx, classes, cfg, r)
 }
 
 // buildTreeBinned grows a CART tree with histogram-binned split finding.
@@ -320,14 +287,6 @@ func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, thresho
 	return feature, threshold, ok
 }
 
-func classCounts(y []int, idx []int, classes int) []int {
-	counts := make([]int, classes)
-	for _, i := range idx {
-		counts[y[i]]++
-	}
-	return counts
-}
-
 func gini(counts []int, total int) float64 {
 	if total == 0 {
 		return 0
@@ -354,102 +313,6 @@ func pure(counts []int) bool {
 		}
 	}
 	return nonzero <= 1
-}
-
-// grow builds the subtree over idx and returns its arena index.
-func (g *growContext) grow(idx []int, depth int) int {
-	counts := classCounts(g.y, idx, g.classes)
-	nodeIdx := len(g.nodes)
-	g.nodes = append(g.nodes, Node{Feature: -1, Samples: len(idx)})
-
-	stop := pure(counts) ||
-		len(idx) < 2*g.cfg.MinLeaf ||
-		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth)
-	if !stop {
-		feature, threshold, ok := g.bestSplit(idx, counts)
-		if ok {
-			var left, right []int
-			for _, i := range idx {
-				if g.x.At(i, feature) <= threshold {
-					left = append(left, i)
-				} else {
-					right = append(right, i)
-				}
-			}
-			if len(left) >= g.cfg.MinLeaf && len(right) >= g.cfg.MinLeaf {
-				l := g.grow(left, depth+1)
-				r := g.grow(right, depth+1)
-				g.nodes[nodeIdx].Feature = feature
-				g.nodes[nodeIdx].Threshold = threshold
-				g.nodes[nodeIdx].Left = l
-				g.nodes[nodeIdx].Right = r
-				return nodeIdx
-			}
-		}
-	}
-	// Leaf.
-	probs := make([]float64, g.classes)
-	for c, n := range counts {
-		probs[c] = float64(n) / float64(len(idx))
-	}
-	g.nodes[nodeIdx].Probs = probs
-	return nodeIdx
-}
-
-// bestSplit searches a random feature subset for the Gini-optimal split.
-func (g *growContext) bestSplit(idx []int, parentCounts []int) (feature int, threshold float64, ok bool) {
-	nFeatures := g.x.Cols()
-	candidates := nFeatures
-	if g.cfg.Features > 0 && g.cfg.Features < nFeatures {
-		candidates = g.cfg.Features
-	}
-	perm := g.r.Perm(nFeatures)[:candidates]
-
-	total := len(idx)
-	parentGini := gini(parentCounts, total)
-	bestGain := 1e-12
-	ok = false
-
-	vals := make([]float64, len(idx))
-	order := make([]int, len(idx))
-	leftCounts := make([]int, g.classes)
-	rightCounts := make([]int, g.classes)
-
-	for _, f := range perm {
-		for k, i := range idx {
-			vals[k] = g.x.At(i, f)
-			order[k] = k
-		}
-		sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
-
-		copy(rightCounts, parentCounts)
-		for c := range leftCounts {
-			leftCounts[c] = 0
-		}
-		nLeft := 0
-		for pos := 0; pos < len(order)-1; pos++ {
-			i := idx[order[pos]]
-			leftCounts[g.y[i]]++
-			rightCounts[g.y[i]]--
-			nLeft++
-			v := vals[order[pos]]
-			next := vals[order[pos+1]]
-			//lint:allow floateq sorted neighbours compared for exact duplication, no arithmetic involved
-			if v == next {
-				continue // cannot split between equal values
-			}
-			gl := gini(leftCounts, nLeft)
-			gr := gini(rightCounts, total-nLeft)
-			weighted := (float64(nLeft)*gl + float64(total-nLeft)*gr) / float64(total)
-			if gain := parentGini - weighted; gain > bestGain {
-				bestGain = gain
-				feature = f
-				threshold = (v + next) / 2
-				ok = true
-			}
-		}
-	}
-	return feature, threshold, ok
 }
 
 // PredictProbs returns the class-probability vector for a sample.

@@ -30,10 +30,9 @@ type ctxBlockingFact struct {
 
 // CtxGuard is the ctxguard analyzer.
 var CtxGuard = &Analyzer{
-	Name:      "ctxguard",
-	Doc:       "blocking operations in internal/serve, internal/collect, internal/pipe, internal/shard and internal/analysis must be select-guarded with a cancellation case or use ctx-taking APIs",
-	Run:       runCtxGuard,
-	FactTypes: []any{ctxBlockingFact{}},
+	Name: "ctxguard",
+	Doc:  "blocking operations in internal/serve, internal/collect, internal/pipe, internal/shard and internal/analysis must be select-guarded with a cancellation case or use ctx-taking APIs",
+	Run:  runCtxGuard,
 }
 
 // ctxGuardedPkgs are the module subtrees the local rules apply to.
@@ -62,8 +61,8 @@ func runCtxGuard(pass *Pass) {
 
 	type fnInfo struct {
 		fn      *types.Func
-		ops     []blockingOp       // direct unguarded blocking ops
-		callees []*types.Func      // module-internal callees, for propagation
+		ops     []blockingOp  // direct unguarded blocking ops
+		callees []*types.Func // module-internal callees, for propagation
 		callPos map[*types.Func]token.Pos
 		hasCtx  bool
 	}

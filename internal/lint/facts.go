@@ -20,12 +20,10 @@ import (
 // standard library only.
 //
 // Facts are keyed by (analyzer, package path, object key) where the
-// object key is stable across loads and across the incremental cache:
-// functions use types.Func.FullName ("(*repro/internal/serve.Server).
-// SwapSnapshot"), other package-scope objects use "pkgpath.Name", and a
-// package fact uses the empty object key. Fact values are plain structs;
-// analyzers that participate in the incremental cache register them
-// through Analyzer.FactTypes so they round-trip through gob.
+// object key is stable across loads: functions use types.Func.FullName
+// ("(*repro/internal/serve.Server).SwapSnapshot"), other package-scope
+// objects use "pkgpath.Name", and a package fact uses the empty object
+// key. Fact values are plain structs.
 
 // factKey addresses one fact in the store.
 type factKey struct {
@@ -87,8 +85,8 @@ func (s *FactStore) get(k factKey, ptr any) bool {
 	return true
 }
 
-// factRecord is the serializable form of one fact, used by the
-// incremental cache and the -facts-debug dump.
+// factRecord is the flattened form of one fact, walked by the finish
+// passes and the -facts-debug dump.
 type factRecord struct {
 	Analyzer string
 	PkgPath  string
@@ -96,15 +94,11 @@ type factRecord struct {
 	Fact     any
 }
 
-// records returns every fact, optionally restricted to one package,
-// sorted for deterministic output.
-func (s *FactStore) records(pkgPath string) []factRecord {
+// records returns every fact, sorted for deterministic output.
+func (s *FactStore) records() []factRecord {
 	s.mu.Lock()
 	out := make([]factRecord, 0, len(s.m))
 	for k, v := range s.m {
-		if pkgPath != "" && k.pkgPath != pkgPath {
-			continue
-		}
 		out = append(out, factRecord{Analyzer: k.analyzer, PkgPath: k.pkgPath, Obj: k.obj, Fact: v})
 	}
 	s.mu.Unlock()
@@ -121,20 +115,11 @@ func (s *FactStore) records(pkgPath string) []factRecord {
 	return out
 }
 
-// install re-seats cached fact records into the store.
-func (s *FactStore) install(recs []factRecord) {
-	s.mu.Lock()
-	for _, r := range recs {
-		s.m[factKey{r.Analyzer, r.PkgPath, r.Obj}] = r.Fact
-	}
-	s.mu.Unlock()
-}
-
 // DebugString renders the store for icnvet -facts-debug: one line per
 // fact, grouped by package, with the fact's %+v rendering.
 func (s *FactStore) DebugString() string {
 	var b []byte
-	for _, r := range s.records("") {
+	for _, r := range s.records() {
 		obj := r.Obj
 		if obj == "" {
 			obj = "(package)"
@@ -213,7 +198,7 @@ type FinishPass struct {
 // EachPackageFact invokes fn for every package fact this analyzer
 // exported, in deterministic package-path order.
 func (fp *FinishPass) EachPackageFact(fn func(pkgPath string, fact any)) {
-	for _, r := range fp.facts.records("") {
+	for _, r := range fp.facts.records() {
 		if r.Analyzer == fp.Analyzer.Name && r.Obj == "" {
 			fn(r.PkgPath, r.Fact)
 		}
@@ -223,7 +208,7 @@ func (fp *FinishPass) EachPackageFact(fn func(pkgPath string, fact any)) {
 // EachObjectFact invokes fn for every object fact this analyzer exported,
 // in deterministic order.
 func (fp *FinishPass) EachObjectFact(fn func(pkgPath, obj string, fact any)) {
-	for _, r := range fp.facts.records("") {
+	for _, r := range fp.facts.records() {
 		if r.Analyzer == fp.Analyzer.Name && r.Obj != "" {
 			fn(r.PkgPath, r.Obj, r.Fact)
 		}

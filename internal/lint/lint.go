@@ -11,9 +11,8 @@
 // The v2 engine is a cross-package dataflow framework: packages are
 // analyzed in dependency order and analyzers export typed facts (escape
 // summaries, field-access summaries, metric catalogs) that downstream
-// packages import, with per-package analysis parallelized on the shared
-// internal/pipe pool and a content-hash-keyed cache making repeat runs
-// incremental (see runner.go, facts.go, cache.go).
+// packages import, with type-checking and per-package analysis
+// parallelized on the shared internal/pipe pool (see runner.go, facts.go).
 //
 // The cmd/icnvet driver loads every package in the module and runs the
 // Analyzers suite over it. Individual findings can be suppressed with an
@@ -62,9 +61,6 @@ type Analyzer struct {
 	Doc string
 	// Run executes the rule over one package.
 	Run func(*Pass)
-	// FactTypes lists zero values of every fact type Run exports, so the
-	// incremental cache can round-trip them through encoding/gob.
-	FactTypes []any
 	// Finish, when set, runs once after every package has been analyzed,
 	// over the module-wide fact store — the place for verdicts that only
 	// exist globally (a metric registered nowhere, a field locked in one

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -23,7 +22,7 @@ var (
 func loadTestModule(t *testing.T) *Module {
 	t.Helper()
 	moduleOnce.Do(func() {
-		moduleVal, moduleErr = LoadModule(filepath.Join("..", ".."))
+		moduleVal, moduleErr = LoadModule(filepath.Join("..", ".."), nil)
 	})
 	if moduleErr != nil {
 		t.Fatalf("LoadModule: %v", moduleErr)
@@ -344,11 +343,11 @@ func TestModuleLoadShape(t *testing.T) {
 	}
 }
 
-// The incremental cache must replay findings and facts bit-identically,
-// and invalidate exactly the packages whose content hash changed (plus
-// their importers). A tiny throwaway module keeps the test fast: its
-// packages import nothing, so no stdlib type-checking happens.
-func TestIncrementalCache(t *testing.T) {
+// RunModule end to end over a module that has findings: a tiny throwaway
+// module whose packages import nothing (so no stdlib type-checking
+// happens) must yield exactly one raw go statement and one stale
+// suppression, and the stale allow must appear unused in the report.
+func TestRunModuleFindings(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, content string) {
 		t.Helper()
@@ -373,56 +372,27 @@ import "tiny/internal/a"
 
 func Use() {
 	a.Spawn(func() {})
-	//lint:allow rngdet deliberately stale suppression for the cache test
+	//lint:allow rngdet deliberately stale suppression
 	_ = 1
 }
 `)
-	opts := Options{Dir: dir, Cache: true, CacheDir: filepath.Join(dir, "cache")}
-
-	run := func(label string, wantCached int) *Result {
-		t.Helper()
-		res, err := RunModule(opts)
-		if err != nil {
-			t.Fatalf("%s: RunModule: %v", label, err)
-		}
-		if res.Timing.Cached != wantCached {
-			t.Errorf("%s: %d/%d packages cached, want %d", label, res.Timing.Cached, res.Timing.Packages, wantCached)
-		}
-		var analyzers []string
-		for _, f := range res.Findings {
-			analyzers = append(analyzers, f.Analyzer)
-		}
-		sort.Strings(analyzers)
-		// One raw go statement, one stale suppression.
-		if fmt.Sprint(analyzers) != fmt.Sprint([]string{"lint", "poolgo"}) {
-			t.Errorf("%s: want [lint poolgo] findings, got %v:\n%v", label, analyzers, res.Findings)
-		}
-		return res
+	res, err := RunModule(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("RunModule: %v", err)
 	}
-
-	cold := run("cold", 0)
-	warm := run("warm", 2)
-	if !reflect.DeepEqual(cold.Findings, warm.Findings) {
-		t.Errorf("cached replay diverged:\ncold: %v\nwarm: %v", cold.Findings, warm.Findings)
+	if res.Timing.Packages != 2 {
+		t.Errorf("loaded %d packages, want 2", res.Timing.Packages)
 	}
-	if !reflect.DeepEqual(cold.Allows, warm.Allows) {
-		t.Errorf("cached allow records diverged:\ncold: %v\nwarm: %v", cold.Allows, warm.Allows)
+	var analyzers []string
+	for _, f := range res.Findings {
+		analyzers = append(analyzers, f.Analyzer)
 	}
-
-	// Touching b invalidates only b: a replays from cache.
-	write("internal/b/b.go", `package b
-
-import "tiny/internal/a"
-
-func Use() {
-	a.Spawn(func() {})
-	//lint:allow rngdet deliberately stale suppression for the cache test
-	_ = 2
-}
-`)
-	touched := run("touched", 1)
-	if !reflect.DeepEqual(cold.Findings, touched.Findings) {
-		t.Errorf("partial rebuild diverged:\ncold: %v\ntouched: %v", cold.Findings, touched.Findings)
+	sort.Strings(analyzers)
+	if fmt.Sprint(analyzers) != fmt.Sprint([]string{"lint", "poolgo"}) {
+		t.Errorf("want [lint poolgo] findings, got %v:\n%v", analyzers, res.Findings)
+	}
+	if len(res.Allows) != 1 || res.Allows[0].Analyzer != "rngdet" || res.Allows[0].Used {
+		t.Errorf("want one unused rngdet allow, got %+v", res.Allows)
 	}
 }
 

@@ -2,8 +2,6 @@ package lint
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -29,18 +27,13 @@ type Package struct {
 	Dir string
 	// Files are the parsed non-test sources, in file-name order.
 	Files []*ast.File
-	// Types is the checked package object. It is nil until the package is
-	// type-checked: the incremental runner only checks packages whose
-	// analysis cannot be replayed from cache (and their dependencies).
+	// Types is the checked package object.
 	Types *types.Package
 	// Info is the type-checker's expression/object table for Files.
 	Info *types.Info
 	// TypeErrors collects type-checker diagnostics. Analysis proceeds on
 	// the partial information, mirroring go vet's tolerance.
 	TypeErrors []error
-	// SrcHash is a hex sha256 over the package's file names and contents,
-	// the package-local part of the incremental cache key.
-	SrcHash string
 
 	imports []string // module-internal imports, for topo ordering
 	level   int      // 1 + max dependency level; packages of equal level check in parallel
@@ -50,9 +43,7 @@ type Package struct {
 func (p *Package) Imports() []string { return p.imports }
 
 // Module is a loaded Go module: every package discovered, parsed and
-// hashed, in dependency order, with type-checking available for all
-// packages (LoadModule) or on demand for a subset (the incremental
-// runner).
+// type-checked, in dependency order.
 type Module struct {
 	// Dir is the absolute module root (where go.mod lives).
 	Dir string
@@ -85,22 +76,9 @@ var skipDirs = map[string]bool{
 // imports resolve against the packages being checked, and everything else
 // (the standard library) is type-checked from $GOROOT source via the
 // go/importer "source" compiler, so no export data or external tooling is
-// needed. Independent packages type-check in parallel on the shared
-// internal/pipe pool.
-func LoadModule(dir string) (*Module, error) {
-	mod, err := scanModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	mod.CheckPackages(nil, pipe.Shared())
-	return mod, nil
-}
-
-// scanModule is the cheap phase of a load: discover package directories,
-// parse sources, hash contents, and topo-sort — everything the incremental
-// runner needs to decide which packages must be re-analyzed, without
-// paying for any type-checking.
-func scanModule(dir string) (*Module, error) {
+// needed. Independent packages type-check in parallel on pool (nil means
+// the process-shared internal/pipe pool).
+func LoadModule(dir string, pool *pipe.Pool) (*Module, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: resolve module dir: %w", err)
@@ -182,42 +160,29 @@ func scanModule(dir string) (*Module, error) {
 	// The go/importer source importer is not safe for concurrent use;
 	// serialize it so packages can type-check in parallel around it.
 	mod.std = &lockedImporter{std: importer.ForCompiler(mod.Fset, "source", nil)}
+	mod.inWaves(pool, func(pkg *Package) { checkPackage(mod, pkg, mod.std) })
 	return mod, nil
 }
 
-// CheckPackages type-checks the packages whose import paths are in need
-// (nil means every package), in dependency waves: packages of equal
-// topological level are independent and run in parallel on pool. The
-// caller is responsible for need being closed under module-internal
-// dependencies — importing an unchecked internal package is an error
-// recorded in TypeErrors. Already-checked packages are skipped, so the
-// call is idempotent.
-func (m *Module) CheckPackages(need map[string]bool, pool *pipe.Pool) {
+// inWaves calls fn for every package in dependency waves: packages of
+// equal topological level are independent and run in parallel on pool
+// (nil means the shared pool). The wave barrier makes dependency
+// *types.Package and fact reads race-free: everything a wave imports was
+// completed by an earlier wave. Background context: a lint run is not
+// cancellable mid-wave.
+func (m *Module) inWaves(pool *pipe.Pool, fn func(*Package)) {
 	if pool == nil {
 		pool = pipe.Shared()
 	}
-	waves := map[int][]*Package{}
-	maxLevel := 0
+	var waves [][]*Package
 	for _, pkg := range m.Pkgs {
-		if pkg.Types != nil || (need != nil && !need[pkg.PkgPath]) {
-			continue
+		for len(waves) < pkg.level {
+			waves = append(waves, nil)
 		}
-		waves[pkg.level] = append(waves[pkg.level], pkg)
-		if pkg.level > maxLevel {
-			maxLevel = pkg.level
-		}
+		waves[pkg.level-1] = append(waves[pkg.level-1], pkg)
 	}
-	for level := 1; level <= maxLevel; level++ {
-		wave := waves[level]
-		if len(wave) == 0 {
-			continue
-		}
-		// The wave barrier makes dependency *types.Package and fact reads
-		// race-free: everything a wave imports was completed by an earlier
-		// wave. Background context: a lint run is not cancellable mid-wave.
-		_ = pool.ForEach(context.Background(), len(wave), func(i int) {
-			checkPackage(m, wave[i], m.std)
-		})
+	for _, wave := range waves {
+		_ = pool.ForEach(context.Background(), len(wave), func(i int) { fn(wave[i]) })
 	}
 }
 
@@ -246,11 +211,10 @@ func (m *Module) CheckPackageDir(dir, pkgPath string) (*Package, error) {
 	return pkg, nil
 }
 
-// parsePackage parses the non-test .go files of one directory and hashes
-// their contents into Package.SrcHash. Files whose package clause does not
-// match the directory majority (e.g. a stray main) are grouped by the
-// first file's package name; directories with no parseable files yield
-// nil.
+// parsePackage parses the non-test .go files of one directory. Files
+// whose package clause does not match the directory majority (e.g. a
+// stray main) are grouped by the first file's package name; directories
+// with no parseable files yield nil.
 func parsePackage(fset *token.FileSet, dir, pkgPath, modPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -258,20 +222,13 @@ func parsePackage(fset *token.FileSet, dir, pkgPath, modPath string) (*Package, 
 	}
 	pkg := &Package{PkgPath: pkgPath, Dir: dir}
 	seen := map[string]bool{}
-	hash := sha256.New()
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
-			return nil, fmt.Errorf("lint: read %s: %w", full, err)
-		}
-		sum := sha256.Sum256(src)
-		fmt.Fprintf(hash, "%s %x\n", name, sum)
-		f, err := parser.ParseFile(fset, full, src, parser.ParseComments)
+		f, err := parser.ParseFile(fset, full, nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: parse %s: %w", full, err)
 		}
@@ -291,7 +248,6 @@ func parsePackage(fset *token.FileSet, dir, pkgPath, modPath string) (*Package, 
 		return nil, nil
 	}
 	sort.Strings(pkg.imports)
-	pkg.SrcHash = hex.EncodeToString(hash.Sum(nil))
 	return pkg, nil
 }
 

@@ -39,11 +39,10 @@ type lockAccessFact struct {
 
 // LockAtomic is the lockatomic analyzer.
 var LockAtomic = &Analyzer{
-	Name:      "lockatomic",
-	Doc:       "a field accessed atomically anywhere must be atomic everywhere, and mutex-guarded writes imply mutex-guarded reads",
-	Run:       runLockAtomic,
-	FactTypes: []any{lockAccessFact{}},
-	Finish:    finishLockAtomic,
+	Name:   "lockatomic",
+	Doc:    "a field accessed atomically anywhere must be atomic everywhere, and mutex-guarded writes imply mutex-guarded reads",
+	Run:    runLockAtomic,
+	Finish: finishLockAtomic,
 }
 
 func runLockAtomic(pass *Pass) {

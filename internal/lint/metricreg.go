@@ -45,11 +45,10 @@ type metricUseFact struct {
 
 // MetricRegistry is the metricreg analyzer.
 var MetricRegistry = &Analyzer{
-	Name:      "metricreg",
-	Doc:       "every emitted metric name is registered in the obs catalog exactly once, with the right kind, and every registered metric is emitted",
-	Run:       runMetricReg,
-	FactTypes: []any{metricCatalogFact{}, metricUseFact{}},
-	Finish:    finishMetricReg,
+	Name:   "metricreg",
+	Doc:    "every emitted metric name is registered in the obs catalog exactly once, with the right kind, and every registered metric is emitted",
+	Run:    runMetricReg,
+	Finish: finishMetricReg,
 }
 
 // obsPkgPath returns the metrics package path for the module under

@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"context"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,12 +14,6 @@ type Options struct {
 	Dir string
 	// Analyzers is the rule set to run; nil means the full Analyzers suite.
 	Analyzers []*Analyzer
-	// Cache enables the incremental cache: packages whose content-hash key
-	// matches a stored entry replay their findings and facts without being
-	// type-checked or analyzed.
-	Cache bool
-	// CacheDir overrides the cache location (default <Dir>/.icnvet-cache).
-	CacheDir string
 	// Pool runs per-package type-checking and analysis; nil uses the
 	// process-shared internal/pipe pool.
 	Pool *pipe.Pool
@@ -38,9 +30,7 @@ type AnalyzerTime struct {
 
 // Timing breaks a run down by phase for the icnvet -time report.
 type Timing struct {
-	// Scan is discovery, parsing and content hashing.
-	Scan time.Duration
-	// Load is type-checking (zero when every package was cached).
+	// Load is discovery, parsing and type-checking.
 	Load time.Duration
 	// Analyze is the per-package analyzer phase wall time.
 	Analyze time.Duration
@@ -48,8 +38,6 @@ type Timing struct {
 	Finish time.Duration
 	// Packages is the number of packages in the module.
 	Packages int
-	// Cached is how many of them replayed from the incremental cache.
-	Cached int
 	// Analyzers holds the per-analyzer breakdown, in suite order.
 	Analyzers []AnalyzerTime
 }
@@ -68,132 +56,38 @@ type Result struct {
 }
 
 // RunModule executes analyzers over every package of the module rooted at
-// opts.Dir: scan, (incremental) type-check, per-package analysis in
-// parallel dependency waves with facts flowing downstream, then the
-// module-global finish passes and stale-suppression scan.
+// opts.Dir: load and type-check, per-package analysis in parallel
+// dependency waves with facts flowing downstream, then the module-global
+// finish passes and stale-suppression scan.
 func RunModule(opts Options) (*Result, error) {
 	analyzers := opts.Analyzers
 	if len(analyzers) == 0 {
 		analyzers = Analyzers
 	}
-	pool := opts.Pool
-	if pool == nil {
-		pool = pipe.Shared()
-	}
 
 	res := &Result{Facts: NewFactStore()}
 	start := time.Now()
-	mod, err := scanModule(opts.Dir)
+	mod, err := LoadModule(opts.Dir, opts.Pool)
 	if err != nil {
 		return nil, err
 	}
-	res.Timing.Scan = time.Since(start)
+	res.Timing.Load = time.Since(start)
 	res.Timing.Packages = len(mod.Pkgs)
 
-	// Decide which packages must re-analyze and which replay from cache.
-	cacheDir := opts.CacheDir
-	var keys map[string]string
-	cached := map[string]*cacheEntry{}
-	if opts.Cache {
-		if cacheDir == "" {
-			cacheDir = filepath.Join(mod.Dir, ".icnvet-cache")
-		}
-		registerFactTypes(analyzers)
-		keys = computeCacheKeys(mod, analyzers)
-		for _, pkg := range mod.Pkgs {
-			if e, ok := readCacheEntry(cacheDir, pkg.PkgPath, keys[pkg.PkgPath]); ok {
-				cached[pkg.PkgPath] = e
-			}
-		}
-	}
-	res.Timing.Cached = len(cached)
-
-	// Type-check the stale packages plus their transitive module-internal
-	// dependencies (whose *types.Package objects the stale checks import);
-	// fully cached runs skip type-checking entirely.
-	var need map[string]bool
-	if opts.Cache {
-		need = map[string]bool{}
-		var add func(pkgPath string)
-		add = func(pkgPath string) {
-			if need[pkgPath] {
-				return
-			}
-			need[pkgPath] = true
-			if pkg := mod.byPath[pkgPath]; pkg != nil {
-				for _, dep := range pkg.imports {
-					add(dep)
-				}
-			}
-		}
-		for _, pkg := range mod.Pkgs {
-			if cached[pkg.PkgPath] == nil {
-				add(pkg.PkgPath)
-			}
-		}
-	}
-	loadStart := time.Now()
-	mod.CheckPackages(need, pool)
-	res.Timing.Load = time.Since(loadStart)
-
-	// Analyze in dependency waves: packages of equal topological level are
-	// independent and run in parallel; the wave barrier guarantees every
-	// fact a package imports was exported (or replayed) by an earlier wave.
+	// Analyze in dependency waves: the wave barrier guarantees every fact
+	// a package imports was exported by an earlier wave.
 	perAnalyzer := make([]int64, len(analyzers))
 	globalAllows := allowIndex{}
 	var findings []Finding
 	var mu sync.Mutex
-	waves := map[int][]*Package{}
-	maxLevel := 0
-	for _, pkg := range mod.Pkgs {
-		waves[pkg.level] = append(waves[pkg.level], pkg)
-		if pkg.level > maxLevel {
-			maxLevel = pkg.level
-		}
-	}
 	analyzeStart := time.Now()
-	for level := 1; level <= maxLevel; level++ {
-		wave := waves[level]
-		if len(wave) == 0 {
-			continue
-		}
-		_ = pool.ForEach(context.Background(), len(wave), func(i int) {
-			pkg := wave[i]
-			if e := cached[pkg.PkgPath]; e != nil {
-				res.Facts.install(e.Facts)
-				allows := allowIndex{}
-				for _, rec := range e.Allows {
-					r := rec
-					allows[allowKey{r.Pos.Filename, r.Pos.Line, r.Analyzer}] = &r
-				}
-				mu.Lock()
-				findings = append(findings, e.Findings...)
-				globalAllows.merge(allows)
-				mu.Unlock()
-				return
-			}
-			pkgFindings, allows := analyzePackage(mod, pkg, analyzers, res.Facts, perAnalyzer)
-			if opts.Cache {
-				// Snapshot before the global phases mutate the used bits:
-				// a cached replay re-runs those phases fresh, so the entry
-				// must hold only local-phase state.
-				entry := &cacheEntry{
-					Key:      keys[pkg.PkgPath],
-					Findings: pkgFindings,
-					Facts:    res.Facts.records(pkg.PkgPath),
-					Allows:   make([]AllowRecord, 0, len(allows)),
-				}
-				for _, rec := range allows.records() {
-					entry.Allows = append(entry.Allows, *rec)
-				}
-				writeCacheEntry(cacheDir, pkg.PkgPath, entry)
-			}
-			mu.Lock()
-			findings = append(findings, pkgFindings...)
-			globalAllows.merge(allows)
-			mu.Unlock()
-		})
-	}
+	mod.inWaves(opts.Pool, func(pkg *Package) {
+		pkgFindings, allows := analyzePackage(mod, pkg, analyzers, res.Facts, perAnalyzer)
+		mu.Lock()
+		findings = append(findings, pkgFindings...)
+		globalAllows.merge(allows)
+		mu.Unlock()
+	})
 	res.Timing.Analyze = time.Since(analyzeStart)
 
 	// Module-global phase: finish passes see the full fact store and report

@@ -37,10 +37,9 @@ type snapEscapeFact struct {
 
 // SnapshotFreeze is the snapfreeze analyzer.
 var SnapshotFreeze = &Analyzer{
-	Name:      "snapfreeze",
-	Doc:       "published model snapshots and analysis results are frozen: no writes after they escape via SwapSnapshot/register/ResultFor",
-	Run:       runSnapFreeze,
-	FactTypes: []any{snapEscapeFact{}},
+	Name: "snapfreeze",
+	Doc:  "published model snapshots and analysis results are frozen: no writes after they escape via SwapSnapshot/register/ResultFor",
+	Run:  runSnapFreeze,
 }
 
 // trackedPtr reports whether t is a pointer to one of the frozen types.

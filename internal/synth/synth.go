@@ -442,51 +442,10 @@ func (a *Antenna) fillShapeTraffic(row []float64) {
 	}
 }
 
-// shapeWeight returns the relative activity of services with temporal
-// shape s at (day, hourOfDay): the venue envelope (template + events) times
-// the service-shape modulation. The post-event shape samples the venue
-// surge two hours late, reproducing the Waze pattern of Section 6.
-//
-// This scalar form is the reference the cached weightGrid must reproduce
-// bit-for-bit; the hourly-series hot paths below read the grid instead.
-func (a *Antenna) shapeWeight(cal *temporal.Calendar, day, hourOfDay int, s services.TemporalShape) float64 {
-	w := a.template.Weight(cal, day, hourOfDay)
-	surgeHour := hourOfDay
-	surgeDay := day
-	if s == services.ShapePostEvent {
-		surgeHour -= 2
-		if surgeHour < 0 {
-			surgeHour += 24
-			surgeDay--
-		}
-	}
-	for _, ev := range a.events {
-		if ev.Active(surgeDay, surgeHour) {
-			w += ev.Intensity
-		}
-	}
-	return w * temporal.ShapeModifier(s, hourOfDay, cal.IsWeekend(day))
-}
-
-// shapeWeightSums returns, per temporal shape, the sum of shapeWeight over
-// every hour of the calendar — the normalization constant that makes
-// hourly series integrate to the antenna's total traffic. Reference
-// implementation; the hot paths use the grid's identically-ordered sums.
-func (a *Antenna) shapeWeightSums(cal *temporal.Calendar) [numShapes]float64 {
-	var sums [numShapes]float64
-	for day := 0; day < cal.Days(); day++ {
-		for h := 0; h < 24; h++ {
-			for s := 0; s < numShapes; s++ {
-				sums[s] += a.shapeWeight(cal, day, h, services.TemporalShape(s))
-			}
-		}
-	}
-	return sums
-}
-
-// weightGrid caches the hour-resolved factors of shapeWeight so the hourly
-// series derivations stop re-walking the template and event schedule per
-// (hour, shape) evaluation. shapeWeight factors as
+// weightGrid caches the hour-resolved factors of shapeWeight (the scalar
+// reference in synth_test.go) so the hourly series derivations stop
+// re-walking the template and event schedule per (hour, shape)
+// evaluation. shapeWeight factors as
 //
 //	envelope(day, h | surge shift) × ShapeModifier(s, hourOfDay, weekend)
 //

@@ -7,6 +7,7 @@ import (
 	"repro/internal/envmodel"
 	"repro/internal/geo"
 	"repro/internal/services"
+	"repro/internal/temporal"
 )
 
 // testConfig is a small but structurally complete dataset for unit tests.
@@ -410,6 +411,48 @@ func BenchmarkHourlyTotals(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = ds.HourlyTotals(a)
 	}
+}
+
+// shapeWeight returns the relative activity of services with temporal
+// shape s at (day, hourOfDay): the venue envelope (template + events) times
+// the service-shape modulation. The post-event shape samples the venue
+// surge two hours late, reproducing the Waze pattern of Section 6.
+//
+// This scalar form is the reference the cached weightGrid must reproduce
+// bit-for-bit; the hourly-series hot paths read the grid instead.
+func (a *Antenna) shapeWeight(cal *temporal.Calendar, day, hourOfDay int, s services.TemporalShape) float64 {
+	w := a.template.Weight(cal, day, hourOfDay)
+	surgeHour := hourOfDay
+	surgeDay := day
+	if s == services.ShapePostEvent {
+		surgeHour -= 2
+		if surgeHour < 0 {
+			surgeHour += 24
+			surgeDay--
+		}
+	}
+	for _, ev := range a.events {
+		if ev.Active(surgeDay, surgeHour) {
+			w += ev.Intensity
+		}
+	}
+	return w * temporal.ShapeModifier(s, hourOfDay, cal.IsWeekend(day))
+}
+
+// shapeWeightSums returns, per temporal shape, the sum of shapeWeight over
+// every hour of the calendar — the normalization constant that makes
+// hourly series integrate to the antenna's total traffic. Reference
+// implementation; the hot paths use the grid's identically-ordered sums.
+func (a *Antenna) shapeWeightSums(cal *temporal.Calendar) [numShapes]float64 {
+	var sums [numShapes]float64
+	for day := 0; day < cal.Days(); day++ {
+		for h := 0; h < 24; h++ {
+			for s := 0; s < numShapes; s++ {
+				sums[s] += a.shapeWeight(cal, day, h, services.TemporalShape(s))
+			}
+		}
+	}
+	return sums
 }
 
 // referenceHourlyTotals is the pre-grid scalar derivation of HourlyTotals,
