@@ -97,3 +97,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzIngestBody -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzClassifyBody -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzForecastBody -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDecodeClassify -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzRouterIngest -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzRouterPlan -fuzztime $(FUZZTIME) ./internal/shard

@@ -31,6 +31,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -341,6 +342,30 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// ReadBody reads a request body bounded by limit into one buffer, sized
+// up front from Content-Length when the client declares a length within
+// the limit. Past the limit it returns an *http.MaxBytesError.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= limit {
+		// The extra MinRead leaves room for the final read that sees EOF.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return buf.Bytes(), err
+}
+
+// writeBodyError answers a JSON request body that could not be read or
+// decoded: 413 when it overran MaxBodyBytes, as ingest does, else 400.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+}
+
 // handleIngest accepts one probe-wire-format batch, acks it with 202 once
 // it is safely queued, and answers 429 with Retry-After when the bounded
 // queue is full.
@@ -450,10 +475,14 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a classify request")
 		return
 	}
-	var req ClassifyRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		writeBodyError(w, err)
+		return
+	}
+	req, err := DecodeClassify(body)
+	if err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if len(req.Antennas) == 0 {

@@ -497,6 +497,37 @@ func TestClassifyBatchCap(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413: a JSON body past MaxBodyBytes answers 413 on
+// every JSON endpoint, as ingest and the router already do, not a 400
+// blaming the body's syntax.
+func TestOversizedBodyIs413(t *testing.T) {
+	s := startServer(t, forecastSnapshot(t), Config{MaxBodyBytes: 64})
+	// Valid JSON that only overruns the limit: the streaming decoders
+	// must read past 64 bytes of whitespace before the value begins.
+	leading := strings.Repeat(" ", 100) + `{}`
+	// Classify reads the whole body before it decodes, so padding after
+	// a valid value is bounded too; forecast and plan stop at the value.
+	trailing := `{}` + strings.Repeat(" ", 100)
+	for _, tc := range []struct{ name, path, body string }{
+		{"classify", "/v1/classify", leading},
+		{"forecast", "/v1/forecast", leading},
+		{"plan", "/v1/plan", leading},
+		{"classify trailing", "/v1/classify", trailing},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(baseURL(s)+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(out), "exceeds 64 bytes") {
+				t.Fatalf("oversized body: status %d (%s), want 413", resp.StatusCode, out)
+			}
+		})
+	}
+}
+
 func TestClassifyDeadline(t *testing.T) {
 	s := startServer(t, tinySnapshot(t), Config{RequestTimeout: time.Nanosecond})
 	resp, body := postJSON(t, baseURL(s)+"/v1/classify", ClassifyRequest{

@@ -449,7 +449,7 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a classify request")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
 		return
@@ -466,7 +466,7 @@ func (rt *Router) handleForecast(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a forecast request")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
 		return
@@ -480,7 +480,7 @@ func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST a plan request")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
+	body, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
 		return

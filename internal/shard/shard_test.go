@@ -50,7 +50,7 @@ var (
 )
 
 // goldenResult trains the small parity fixture once per test binary.
-func goldenResult(t *testing.T) *analysis.Result {
+func goldenResult(t testing.TB) *analysis.Result {
 	t.Helper()
 	goldenOnce.Do(func() {
 		ds := synth.Generate(synth.Config{Seed: 11, Scale: 0.05, OutdoorCount: 120})
@@ -64,7 +64,7 @@ func goldenResult(t *testing.T) *analysis.Result {
 	return goldenRes
 }
 
-func startRouter(t *testing.T, snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) *Router {
+func startRouter(t testing.TB, snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) *Router {
 	t.Helper()
 	rt, err := NewRouter(snap, base, cfg)
 	if err != nil {
