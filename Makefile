@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build lint test race bench bench-gate bench-baseline artifacts serve-smoke refresh-smoke forecast-smoke serve-bench chaos-smoke shard-smoke shard-bench fuzz-short
+.PHONY: build lint test race bench bench-gate bench-baseline artifacts serve-bench shard-bench fuzz-short
 
 build:
 	$(GO) build ./...
@@ -41,43 +41,11 @@ bench-baseline:
 artifacts:
 	$(GO) run ./cmd/icnbench
 
-# End-to-end smoke of the online service: start icnserve at a tiny scale,
-# ingest a probe batch, classify, scrape /metrics, stop it gracefully.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# End-to-end smoke of the continuous-refresh loop: ingest → background
-# warm retrain → revision swap, observed and audited from the client side
-# (see DESIGN.md §12).
-refresh-smoke:
-	./scripts/refresh_smoke.sh
-
-# End-to-end smoke of the forecasting & planning surface: forecast/model
-# revision consistency, cache-hit bit-identity, a planning round-trip, and
-# a fresh forecast revision after a live ingest → refresh swap (see
-# DESIGN.md §16).
-forecast-smoke:
-	./scripts/forecast_smoke.sh
-
 # Sustained concurrent classify load against an in-process icnserve, plus
 # the forecast leg (training-time row and a /v1/forecast load with a
 # mid-run swap and per-revision bit-parity audit).
 serve-bench:
 	$(GO) run ./cmd/icnbench -serve -scale 0.1 -trees 25 -servejson BENCH_serve.json
-
-# Seeded fault-injection soak: two identical-seed runs of icnbench -chaos
-# against a live server + collector, asserting acked-batch survival,
-# served/offline label parity across model swaps, graceful degradation,
-# and a reproducible fault-plan digest (see DESIGN.md §10).
-chaos-smoke:
-	./scripts/chaos_smoke.sh
-
-# End-to-end smoke of the sharded tier: two identical-seed runs of the
-# icnbench -shards leg at a small scale, each killing one shard and one
-# replica mid-soak; the runs must agree on the ring digest and the
-# acked/folded record counts (see DESIGN.md §14).
-shard-smoke:
-	./scripts/shard_smoke.sh
 
 # Full nationwide-scale sharded benchmark: scale 1.0 (4,762 indoor +
 # 22,000 outdoor antennas), 2M probe sessions through 4 shards and 2

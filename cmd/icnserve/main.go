@@ -20,7 +20,7 @@
 //
 // With -sample the command does not serve: it writes DIR/ingest.bin (a
 // probe wire-format batch) and DIR/classify.json (a classify request for
-// the matching model), the bodies used by `make serve-smoke`.
+// the matching model), the bodies TestServeSmoke sends.
 package main
 
 import (

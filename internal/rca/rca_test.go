@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mat"
+	"repro/internal/rng"
 )
 
 func TestRCAUniformMatrixIsOne(t *testing.T) {
@@ -243,6 +244,119 @@ func TestRCAScaleInvarianceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// eq5Fixture draws a seeded indoor reference and outdoor matrix with
+// log-normal cell volumes and a few idle cells, the shape of the Section
+// 5.3 inputs.
+func eq5Fixture(t *testing.T, seed uint64, outdoorRows, services int) (*mat.Dense, *mat.Dense) {
+	t.Helper()
+	r := rng.New(seed)
+	draw := func(rows int) *mat.Dense {
+		m := mat.NewDense(rows, services)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < services; j++ {
+				if r.Intn(10) > 0 {
+					m.Set(i, j, r.LogNormal(3, 2))
+				}
+			}
+		}
+		return m
+	}
+	return draw(40), draw(outdoorRows)
+}
+
+// eq5 returns Eq. 5 and its RSCA composition for outdoor against the
+// reference built from indoor.
+func eq5(t *testing.T, indoor, outdoor *mat.Dense) (rcaM, rscaM *mat.Dense) {
+	t.Helper()
+	ref, err := NewOutdoorReference(indoor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rcaM, err = ref.RCAOutdoor(outdoor); err != nil {
+		t.Fatal(err)
+	}
+	if rscaM, err = ref.RSCAOutdoor(outdoor); err != nil {
+		t.Fatal(err)
+	}
+	return rcaM, rscaM
+}
+
+// eq5Close compares one cell of two Eq. 5 results to within 1e-12:
+// relative for RCA, absolute for RSCA, which lies in [-1, 1] and cancels
+// near 0.
+func eq5Close(rcaA, rcaB, rscaA, rscaB float64) bool {
+	return math.Abs(rcaA-rcaB) <= 1e-12*math.Max(math.Abs(rcaA), math.Abs(rcaB)) &&
+		math.Abs(rscaA-rscaB) <= 1e-12
+}
+
+// Metamorphic: Eq. 5 normalizes each outdoor row by its own total, so
+// scaling one antenna's traffic leaves its RCA and RSCA unchanged — bit for
+// bit when the factor is a power of two (exact in binary floating point),
+// and to rounding for any positive factor. Other rows must not move.
+func TestEq5RowScaleInvariance(t *testing.T) {
+	const services = 12
+	indoor, outdoor := eq5Fixture(t, 5, 30, services)
+	baseRCA, baseRSCA := eq5(t, indoor, outdoor)
+	r := rng.New(6)
+	for trial := 0; trial < 200; trial++ {
+		row := r.Intn(outdoor.Rows())
+		exact := trial%2 == 0
+		c := math.Ldexp(1, r.Intn(41)-20)
+		if !exact {
+			c = math.Exp(r.NormalScaled(0, 5))
+		}
+		scaled := outdoor.Clone()
+		for j, v := range scaled.Row(row) {
+			scaled.Set(row, j, v*c)
+		}
+		gotRCA, gotRSCA := eq5(t, indoor, scaled)
+		for i := 0; i < outdoor.Rows(); i++ {
+			for j := 0; j < services; j++ {
+				a, b := baseRCA.At(i, j), gotRCA.At(i, j)
+				sa, sb := baseRSCA.At(i, j), gotRSCA.At(i, j)
+				if math.Float64bits(a) == math.Float64bits(b) && math.Float64bits(sa) == math.Float64bits(sb) {
+					continue
+				}
+				if exact || i != row || !eq5Close(a, b, sa, sb) {
+					t.Fatalf("trial %d: scaling row %d by %g moved cell [%d][%d]: RCA %v -> %v, RSCA %v -> %v",
+						trial, row, c, i, j, a, b, sa, sb)
+				}
+			}
+		}
+	}
+}
+
+// Metamorphic: relabeling the services — one column permutation applied
+// to both the indoor reference and the outdoor matrix — permutes the Eq. 5
+// output columns the same way.
+func TestEq5ServicePermutationEquivariance(t *testing.T) {
+	const services = 12
+	r := rng.New(8)
+	for trial := 0; trial < 50; trial++ {
+		indoor, outdoor := eq5Fixture(t, uint64(100+trial), 30, services)
+		perm := r.Perm(services)
+		permute := func(m *mat.Dense) *mat.Dense {
+			out := mat.NewDense(m.Rows(), services)
+			for i := 0; i < m.Rows(); i++ {
+				for j := 0; j < services; j++ {
+					out.Set(i, j, m.At(i, perm[j]))
+				}
+			}
+			return out
+		}
+		baseRCA, baseRSCA := eq5(t, indoor, outdoor)
+		gotRCA, gotRSCA := eq5(t, permute(indoor), permute(outdoor))
+		for i := 0; i < outdoor.Rows(); i++ {
+			for j := 0; j < services; j++ {
+				if !eq5Close(gotRCA.At(i, j), baseRCA.At(i, perm[j]), gotRSCA.At(i, j), baseRSCA.At(i, perm[j])) {
+					t.Fatalf("trial %d: permuted column %d of row %d is RCA %v / RSCA %v, want %v / %v",
+						trial, j, i, gotRCA.At(i, j), gotRSCA.At(i, j), baseRCA.At(i, perm[j]), baseRSCA.At(i, perm[j]))
+				}
+			}
+		}
 	}
 }
 

@@ -143,7 +143,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	var req ForecastRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
-		writeBodyError(w, err)
+		WriteBodyError(w, err)
 		return
 	}
 	s.forecastReqs.Add(1)
@@ -246,7 +246,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req PlanRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err := dec.Decode(&req); err != nil {
-		writeBodyError(w, err)
+		WriteBodyError(w, err)
 		return
 	}
 	s.planReqs.Add(1)

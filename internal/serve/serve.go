@@ -355,9 +355,10 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 	return buf.Bytes(), err
 }
 
-// writeBodyError answers a JSON request body that could not be read or
-// decoded: 413 when it overran MaxBodyBytes, as ingest does, else 400.
-func writeBodyError(w http.ResponseWriter, err error) {
+// WriteBodyError answers a JSON request body that could not be read or
+// decoded: 413 when it overran MaxBodyBytes, as ingest does, else 400. The
+// shard router answers its own body-read failures through it too.
+func WriteBodyError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
@@ -477,12 +478,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		writeBodyError(w, err)
+		WriteBodyError(w, err)
 		return
 	}
 	req, err := DecodeClassify(body)
 	if err != nil {
-		writeBodyError(w, err)
+		WriteBodyError(w, err)
 		return
 	}
 	if len(req.Antennas) == 0 {

@@ -14,8 +14,10 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
+	"repro/internal/forecast"
 	"repro/internal/forest"
 	"repro/internal/mat"
+	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/rca"
 	"repro/internal/synth"
@@ -598,6 +600,84 @@ func TestStatsHealthzMetricsModel(t *testing.T) {
 	code, body = get("/v1/model")
 	if code != 200 || !strings.Contains(body, fmt.Sprintf("%d", s.Snapshot().Revision)) {
 		t.Fatalf("model: %d %s", code, body)
+	}
+}
+
+// TestStatsAgreeWithMetrics pins the contract between the two counts the
+// server keeps of each event — its own Stats and the obs counters behind
+// /metrics: one fixed sequence touches every counted event, and each
+// Stats field must equal the delta of its obs counter.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	slowFolds := fault.New(1, map[fault.Site]fault.Rule{
+		fault.Fold: {DelayProb: 1, Delay: 100 * time.Millisecond},
+	})
+	s := startServer(t, forecastSnapshot(t), Config{QueueDepth: 1, IngestWorkers: 1, Faults: slowFolds})
+	before := obs.Counters()
+
+	ingest := func(body []byte) int {
+		resp, err := http.Post(baseURL(s)+"/v1/ingest", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := ingest([]byte("not a probe stream")); code != http.StatusBadRequest {
+		t.Fatalf("malformed ingest: status %d, want 400", code)
+	}
+	stream := probeStream(t, ingestRecords(5))
+	for i := 0; ; i++ {
+		if i == 10 {
+			t.Fatal("the depth-1 queue never answered 429")
+		}
+		if ingest(stream) == http.StatusTooManyRequests {
+			break
+		}
+	}
+	vec := AntennaVector{ID: 1, Revision: 3, Traffic: []float64{100, 5, 5}}
+	cl := 0
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		postJSON(t, baseURL(s)+"/v1/classify", ClassifyRequest{Antennas: []AntennaVector{vec}})
+		postJSON(t, baseURL(s)+"/v1/forecast", ForecastRequest{Cluster: &cl, Horizon: 24})
+	}
+	postJSON(t, baseURL(s)+"/v1/plan", PlanRequest{
+		Horizon: 24, Actions: []forecast.Action{{Op: forecast.OpAddAntennas, Cluster: 0, Count: 1}},
+	})
+	// Shut down first so the drain has folded every acked batch.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	after := obs.Counters()
+	st := s.Stats()
+	for _, c := range []struct {
+		metric string
+		stat   int64
+	}{
+		{"serve.ingest.batches", st.IngestBatches},
+		{"serve.ingest.records", st.IngestRecords},
+		{"serve.ingest.rejected", st.IngestRejected},
+		{"serve.ingest.malformed", st.IngestMalformed},
+		{"serve.ingest.malformed", int64(st.Aggregate.MalformedStreams)},
+		{"serve.ingest.folded", int64(st.Aggregate.Records)},
+		{"serve.classify.requests", st.ClassifyRequests},
+		{"serve.classify.antennas", st.ClassifiedVectors},
+		{"serve.classify.cache.hits", st.CacheHits},
+		{"serve.classify.cache.misses", st.CacheMisses},
+		{"serve.forecast.requests", st.ForecastRequests},
+		{"serve.forecast.cache.hits", st.ForecastCacheHits},
+		{"serve.forecast.cache.misses", st.ForecastCacheMisses},
+		{"serve.plan.requests", st.PlanRequests},
+	} {
+		if c.stat == 0 {
+			t.Errorf("the sequence never counted %s", c.metric)
+		}
+		if d := after[c.metric] - before[c.metric]; d != c.stat {
+			t.Errorf("%s grew by %d, Stats counts %d", c.metric, d, c.stat)
+		}
 	}
 }
 

@@ -190,9 +190,9 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 	}
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("/v1/ingest", rt.withDeadline(rt.handleIngest))
-	rt.mux.HandleFunc("/v1/classify", rt.withDeadline(rt.handleClassify))
-	rt.mux.HandleFunc("/v1/forecast", rt.withDeadline(rt.handleForecast))
-	rt.mux.HandleFunc("/v1/plan", rt.withDeadline(rt.handlePlan))
+	for _, path := range []string{"/v1/classify", "/v1/forecast", "/v1/plan"} {
+		rt.mux.HandleFunc(path, rt.withDeadline(rt.forwardPOST(path)))
+	}
 	rt.mux.HandleFunc("/v1/model", rt.withDeadline(rt.handleModel))
 	rt.mux.HandleFunc("/v1/stats", rt.handleStats)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
@@ -440,52 +440,26 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch), "shards": len(subs)})
 }
 
-// handleClassify proxies the request body to a live replica, rotating the
-// starting replica per request and failing over on transport errors. The
-// replica's response — status, revision echo, verdicts — passes through
-// verbatim, so parity audits see exactly what the replica served.
-func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a classify request")
-		return
+// forwardPOST returns the handler for a JSON endpoint the replicas serve
+// (classify, forecast, plan): it reads the bounded body and proxies it to a
+// live replica, rotating the starting replica per request and failing over
+// on transport errors. The replica's response — status, revision echo,
+// payload — passes through verbatim, so parity audits see exactly what the
+// replica served; every replica shares the snapshot pointer, so any of them
+// answers with the same revision and bit-exact values.
+func (rt *Router) forwardPOST(path string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, "POST a JSON request to %s", path)
+			return
+		}
+		body, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
+		if err != nil {
+			serve.WriteBodyError(w, err)
+			return
+		}
+		rt.proxy(w, r, path, body)
 	}
-	body, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
-		return
-	}
-	rt.proxy(w, r, "/v1/classify", body)
-}
-
-// handleForecast proxies forecast queries to a live replica with the same
-// failover semantics as classify; because every replica serves the same
-// snapshot pointer, any of them answers with the same revision and the
-// same bit-exact forecast values.
-func (rt *Router) handleForecast(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a forecast request")
-		return
-	}
-	body, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
-		return
-	}
-	rt.proxy(w, r, "/v1/forecast", body)
-}
-
-// handlePlan proxies capacity-planning scenarios to a live replica.
-func (rt *Router) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a plan request")
-		return
-	}
-	body, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "request body: %v", err)
-		return
-	}
-	rt.proxy(w, r, "/v1/plan", body)
 }
 
 // handleModel proxies snapshot metadata from a live replica.
