@@ -26,7 +26,7 @@ func buildTreeExact(x *mat.Dense, y []int, idx []int, classes int, cfg TreeConfi
 	}
 	g := &growContext{x: x, y: y, classes: classes, cfg: cfg, r: r}
 	g.grow(idx, 0)
-	return &Tree{Nodes: g.nodes, Classes: classes}
+	return &Tree{Nodes: g.nodes, Probs: g.probs, Classes: classes}
 }
 
 // trainExact is Train with every tree grown by buildTreeExact.
@@ -48,6 +48,7 @@ type growContext struct {
 	cfg     TreeConfig
 	r       *rng.Source
 	nodes   []Node
+	probs   []float64
 }
 
 func classCounts(y []int, idx []int, classes int) []int {
@@ -62,7 +63,7 @@ func classCounts(y []int, idx []int, classes int) []int {
 func (g *growContext) grow(idx []int, depth int) int {
 	counts := classCounts(g.y, idx, g.classes)
 	nodeIdx := len(g.nodes)
-	g.nodes = append(g.nodes, Node{Feature: -1, Samples: len(idx)})
+	g.nodes = append(g.nodes, Node{Feature: -1, Samples: int32(len(idx))})
 
 	stop := pure(counts) ||
 		len(idx) < 2*g.cfg.MinLeaf ||
@@ -81,20 +82,15 @@ func (g *growContext) grow(idx []int, depth int) int {
 			if len(left) >= g.cfg.MinLeaf && len(right) >= g.cfg.MinLeaf {
 				l := g.grow(left, depth+1)
 				r := g.grow(right, depth+1)
-				g.nodes[nodeIdx].Feature = feature
+				g.nodes[nodeIdx].Feature = int32(feature)
 				g.nodes[nodeIdx].Threshold = threshold
-				g.nodes[nodeIdx].Left = l
-				g.nodes[nodeIdx].Right = r
+				g.nodes[nodeIdx].Left = int32(l)
+				g.nodes[nodeIdx].Right = int32(r)
 				return nodeIdx
 			}
 		}
 	}
-	// Leaf.
-	probs := make([]float64, g.classes)
-	for c, n := range counts {
-		probs[c] = float64(n) / float64(len(idx))
-	}
-	g.nodes[nodeIdx].Probs = probs
+	g.probs = appendLeaf(g.nodes, nodeIdx, g.probs, counts, len(idx))
 	return nodeIdx
 }
 

@@ -130,9 +130,8 @@ func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, gr
 				continue
 			}
 			oobSeen[i] = true
-			probs := tree.PredictProbs(x.Row(i))
 			row := oobVotes.Row(i)
-			for c, p := range probs {
+			for c, p := range tree.PredictProbs(x.Row(i)) {
 				row[c] += p
 			}
 		}
@@ -144,14 +143,7 @@ func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, gr
 			continue
 		}
 		counted++
-		best, bestV := 0, math.Inf(-1)
-		for c, v := range oobVotes.Row(i) {
-			if v > bestV {
-				bestV = v
-				best = c
-			}
-		}
-		if best == y[i] {
+		if argmax(oobVotes.Row(i)) == y[i] {
 			correct++
 		}
 	}
@@ -163,32 +155,60 @@ func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, gr
 	return f, nil
 }
 
-// PredictProbs returns the ensemble-averaged class probabilities.
-func (f *Forest) PredictProbs(x []float64) []float64 {
-	probs := make([]float64, f.Classes)
+// maxBlockRows caps the rows one predict block walks. 128 rows of the
+// 73-service RSCA are 75 KB, which stays in L2 while each tree's nodes
+// (a few KB at 24 bytes each) stay in L1.
+const maxBlockRows = 128
+
+// blockProbs sets acc[:(hi-lo)*Classes] to the ensemble-averaged class
+// probabilities of rows [lo, hi) of x, Classes entries per row. Trees are
+// the outer loop, so one tree's nodes stay cached across the block; each
+// row still sums its leaf distributions from zero in tree order 0…T−1 and
+// is then scaled by 1/T, so its bits equal a per-row sum.
+func (f *Forest) blockProbs(x *mat.Dense, lo, hi int, acc []float64) {
+	k := f.Classes
+	acc = acc[:(hi-lo)*k]
+	clear(acc)
 	for _, t := range f.Trees {
-		for c, p := range t.PredictProbs(x) {
-			probs[c] += p
+		for r := lo; r < hi; r++ {
+			a := acc[(r-lo)*k : (r-lo+1)*k]
+			for c, p := range t.PredictProbs(x.Row(r)) {
+				a[c] += p
+			}
 		}
 	}
 	inv := 1 / float64(len(f.Trees))
-	for c := range probs {
-		probs[c] *= inv
+	for i := range acc {
+		acc[i] *= inv
 	}
+}
+
+// predictBlock writes the verdicts of rows [lo, hi) of x to out[lo:hi],
+// with acc (at least (hi-lo)*Classes long) as scratch.
+func (f *Forest) predictBlock(x *mat.Dense, lo, hi int, acc []float64, out []int) {
+	f.blockProbs(x, lo, hi, acc)
+	k := f.Classes
+	for r := lo; r < hi; r++ {
+		out[r] = argmax(acc[(r-lo)*k : (r-lo+1)*k])
+	}
+}
+
+// blockRows sizes predict blocks so n rows spread over every one of
+// workers, with at most maxBlockRows rows per block.
+func blockRows(n, workers int) int {
+	return max(1, min((n+workers-1)/workers, maxBlockRows))
+}
+
+// PredictProbs returns the ensemble-averaged class probabilities.
+func (f *Forest) PredictProbs(x []float64) []float64 {
+	probs := make([]float64, f.Classes)
+	f.blockProbs(mat.RowVector(x), 0, 1, probs)
 	return probs
 }
 
 // Predict returns the majority class for a sample.
 func (f *Forest) Predict(x []float64) int {
-	probs := f.PredictProbs(x)
-	best, bestP := 0, math.Inf(-1)
-	for c, p := range probs {
-		if p > bestP {
-			bestP = p
-			best = c
-		}
-	}
-	return best
+	return argmax(f.PredictProbs(x))
 }
 
 // PredictAll classifies every row of x.
@@ -197,15 +217,21 @@ func (f *Forest) PredictAll(x *mat.Dense) []int {
 	return out
 }
 
-// PredictAllContext classifies every row of x, fanning rows out over the
-// worker pool carried by ctx (pipe.FromContext) — the batch path the
-// outdoor-comparison stage and the online classify handler share. Each
-// row writes its own output slot, so the result is deterministic. A
-// cancelled ctx stops the scan and returns ctx.Err().
+// PredictAllContext classifies every row of x, fanning blocks of rows out
+// over the worker pool carried by ctx (pipe.FromContext) — the batch path
+// the outdoor-comparison stage and the online classify handler share.
+// Blocks are sized so a batch spans every pool worker; each block writes
+// its own output slots, so the result is deterministic. A cancelled ctx
+// stops the scan between blocks and returns ctx.Err().
 func (f *Forest) PredictAllContext(ctx context.Context, x *mat.Dense) ([]int, error) {
-	out := make([]int, x.Rows())
-	if err := pipe.FromContext(ctx).ForEach(ctx, x.Rows(), func(i int) {
-		out[i] = f.Predict(x.Row(i))
+	pool := pipe.FromContext(ctx)
+	n := x.Rows()
+	size := blockRows(n, pool.Workers())
+	out := make([]int, n)
+	if err := pool.ForEach(ctx, (n+size-1)/size, func(b int) {
+		lo := b * size
+		hi := min(lo+size, n)
+		f.predictBlock(x, lo, hi, make([]float64, (hi-lo)*f.Classes), out)
 	}); err != nil {
 		return nil, err
 	}
@@ -213,15 +239,22 @@ func (f *Forest) PredictAllContext(ctx context.Context, x *mat.Dense) ([]int, er
 }
 
 // Accuracy returns the fraction of rows of x whose prediction matches y.
+// It runs the batch kernel serially, one block at a time.
 func (f *Forest) Accuracy(x *mat.Dense, y []int) float64 {
-	if x.Rows() == 0 {
+	n := x.Rows()
+	if n == 0 {
 		return 0
 	}
+	pred := make([]int, n)
+	acc := make([]float64, min(n, maxBlockRows)*f.Classes)
+	for lo := 0; lo < n; lo += maxBlockRows {
+		f.predictBlock(x, lo, min(lo+maxBlockRows, n), acc, pred)
+	}
 	correct := 0
-	for i := 0; i < x.Rows(); i++ {
-		if f.Predict(x.Row(i)) == y[i] {
+	for i, p := range pred {
+		if p == y[i] {
 			correct++
 		}
 	}
-	return float64(correct) / float64(x.Rows())
+	return float64(correct) / float64(n)
 }

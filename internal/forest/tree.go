@@ -13,26 +13,37 @@ import (
 	"repro/internal/rng"
 )
 
-// Node is one node of a CART tree stored in a flat arena. Leaves have
-// Feature == -1 and carry a class-probability distribution.
+// Node is one 24-byte node of a CART tree stored in a flat arena. Leaves
+// have Feature == -1; their class distributions live in the tree's one
+// Probs array, so a walk reads split fields only.
 type Node struct {
-	// Feature is the split feature index, or -1 for a leaf.
-	Feature int
 	// Threshold sends samples with x[Feature] <= Threshold left.
 	Threshold float64
-	// Left and Right are child indices in the tree's node arena.
-	Left, Right int
-	// Probs is the class distribution at a leaf (nil for internal nodes).
-	Probs []float64
+	// Feature is the split feature index, or -1 for a leaf.
+	Feature int32
+	// Left and Right are child indices in the tree's node arena. A leaf
+	// has no children: its Left is its ordinal among the tree's leaves
+	// (its slot in Tree.Probs) and its Right is 0.
+	Left, Right int32
 	// Samples is the number of training samples that reached the node —
 	// the node weight TreeSHAP's path-dependent expectations use.
-	Samples int
+	Samples int32
 }
 
 // Tree is a single CART classification tree.
 type Tree struct {
-	Nodes   []Node
+	Nodes []Node
+	// Probs holds every leaf's class distribution, Classes entries per
+	// leaf in leaf-ordinal order; read it through LeafProbs.
+	Probs   []float64
 	Classes int
+}
+
+// LeafProbs returns the class distribution of leaf node i. The slice
+// aliases Probs and must not be modified.
+func (t *Tree) LeafProbs(i int) []float64 {
+	o := int(t.Nodes[i].Left) * t.Classes
+	return t.Probs[o : o+t.Classes : o+t.Classes]
 }
 
 // TreeConfig bounds tree growth.
@@ -80,7 +91,7 @@ func buildTreeBinned(x *mat.Dense, bins *Binning, y []int, idx []int, classes in
 	}
 	g := &binGrow{x: x, bins: bins, y: y, classes: classes, cfg: cfg, r: r, s: s}
 	g.grow(root, 0)
-	return &Tree{Nodes: g.nodes, Classes: classes}
+	return &Tree{Nodes: g.nodes, Probs: g.probs, Classes: classes}
 }
 
 // binGrow carries shared state during histogram-binned tree construction.
@@ -92,6 +103,7 @@ type binGrow struct {
 	cfg     TreeConfig
 	r       *rng.Source
 	nodes   []Node
+	probs   []float64
 	s       *growScratch
 }
 
@@ -108,7 +120,7 @@ func (g *binGrow) grow(idx []int, depth int) int {
 		counts[g.y[i]]++
 	}
 	nodeIdx := len(g.nodes)
-	g.nodes = append(g.nodes, Node{Feature: -1, Samples: len(idx)})
+	g.nodes = append(g.nodes, Node{Feature: -1, Samples: int32(len(idx))})
 
 	stop := pure(counts) ||
 		len(idx) < 2*g.cfg.MinLeaf ||
@@ -136,21 +148,27 @@ func (g *binGrow) grow(idx []int, depth int) int {
 			if nl >= g.cfg.MinLeaf && na >= g.cfg.MinLeaf {
 				l := g.grow(idx[:nl], depth+1)
 				r := g.grow(idx[nl:], depth+1)
-				g.nodes[nodeIdx].Feature = feature
+				g.nodes[nodeIdx].Feature = int32(feature)
 				g.nodes[nodeIdx].Threshold = threshold
-				g.nodes[nodeIdx].Left = l
-				g.nodes[nodeIdx].Right = r
+				g.nodes[nodeIdx].Left = int32(l)
+				g.nodes[nodeIdx].Right = int32(r)
 				return nodeIdx
 			}
 		}
 	}
-	// Leaf.
-	probs := make([]float64, g.classes)
-	for c, n := range counts {
-		probs[c] = float64(n) / float64(len(idx))
-	}
-	g.nodes[nodeIdx].Probs = probs
+	g.probs = appendLeaf(g.nodes, nodeIdx, g.probs, counts, len(idx))
 	return nodeIdx
+}
+
+// appendLeaf makes node i a leaf: it appends the class distribution of
+// counts over total samples to probs and points the node's Left at that
+// slot.
+func appendLeaf(nodes []Node, i int, probs []float64, counts []int, total int) []float64 {
+	nodes[i].Left = int32(len(probs) / len(counts))
+	for _, n := range counts {
+		probs = append(probs, float64(n)/float64(total))
+	}
+	return probs
 }
 
 // bestSplit finds the Gini-optimal split over a random feature subset by
@@ -315,27 +333,41 @@ func pure(counts []int) bool {
 	return nonzero <= 1
 }
 
-// PredictProbs returns the class-probability vector for a sample.
-func (t *Tree) PredictProbs(x []float64) []float64 {
-	node := 0
-	for t.Nodes[node].Feature >= 0 {
-		n := t.Nodes[node]
+// leaf returns the arena index of the leaf x falls into — the one tree
+// walk every predict path (single-row, batch block, OOB vote) shares.
+func (t *Tree) leaf(x []float64) int {
+	nodes := t.Nodes
+	i := int32(0)
+	for {
+		n := &nodes[i]
+		if n.Feature < 0 {
+			return int(i)
+		}
 		if x[n.Feature] <= n.Threshold {
-			node = n.Left
+			i = n.Left
 		} else {
-			node = n.Right
+			i = n.Right
 		}
 	}
-	return t.Nodes[node].Probs
+}
+
+// PredictProbs returns the class-probability vector for a sample. The
+// slice aliases the tree's Probs and must not be modified.
+func (t *Tree) PredictProbs(x []float64) []float64 {
+	return t.LeafProbs(t.leaf(x))
 }
 
 // Predict returns the majority class for a sample.
 func (t *Tree) Predict(x []float64) int {
-	probs := t.PredictProbs(x)
+	return argmax(t.PredictProbs(x))
+}
+
+// argmax returns the index of the first maximum of p.
+func argmax(p []float64) int {
 	best, bestP := 0, math.Inf(-1)
-	for c, p := range probs {
-		if p > bestP {
-			bestP = p
+	for c, v := range p {
+		if v > bestP {
+			bestP = v
 			best = c
 		}
 	}
@@ -344,8 +376,8 @@ func (t *Tree) Predict(x []float64) int {
 
 // Depth returns the maximum depth of the tree (0 for a lone leaf).
 func (t *Tree) Depth() int {
-	var walk func(node, d int) int
-	walk = func(node, d int) int {
+	var walk func(node int32, d int) int
+	walk = func(node int32, d int) int {
 		n := t.Nodes[node]
 		if n.Feature < 0 {
 			return d

@@ -49,6 +49,11 @@ func FromRows(rows [][]float64) (*Dense, error) {
 	return m, nil
 }
 
+// RowVector views x as a 1 × len(x) matrix sharing x's storage.
+func RowVector(x []float64) *Dense {
+	return &Dense{rows: 1, cols: len(x), data: x}
+}
+
 // MustFromRows is FromRows for compiled-in literal matrices (tests,
 // fixtures): it panics on invalid input instead of returning an error.
 func MustFromRows(rows [][]float64) *Dense {

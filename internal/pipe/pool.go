@@ -40,6 +40,10 @@ var shared = NewPool(runtime.GOMAXPROCS(0))
 // Shared returns the process-wide pool used by the analysis substrates.
 func Shared() *Pool { return shared }
 
+// Workers returns how many goroutines one ForEach call can run at once:
+// the caller plus the pool's helper slots.
+func (p *Pool) Workers() int { return cap(p.sem) + 1 }
+
 // ForEach runs fn(i) for every i in [0, n), distributing items across the
 // caller's goroutine plus up to capacity-1 pool workers. Items are claimed
 // dynamically, but callers that give each index its own output slot get

@@ -523,6 +523,13 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 		}
+		// Checked here, not left to Classify, so the error names the
+		// request index and id rather than a position among the misses.
+		if len(a.Traffic) != snap.Services {
+			writeError(w, http.StatusBadRequest, "antenna %d (id %d) has %d services, model expects %d",
+				i, a.ID, len(a.Traffic), snap.Services)
+			return
+		}
 		missIdx = append(missIdx, i)
 		missRows = append(missRows, a.Traffic)
 	}

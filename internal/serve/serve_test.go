@@ -175,6 +175,24 @@ func TestClassifyMatchesOfflinePredictAll(t *testing.T) {
 	}
 }
 
+// TestSnapshotRevisionGolden pins the revisions of two fixed models to
+// values recorded before the compact node layout, so the fingerprint is
+// shown to hash the same bits as the 64-byte layout did — leaves as
+// childless nodes followed by their distribution — not merely to be
+// self-consistent.
+func TestSnapshotRevisionGolden(t *testing.T) {
+	snap, err := NewModelSnapshot(goldenResult(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := snap.Revision, uint64(0x5fedf10635cfa026); got != want {
+		t.Errorf("golden pipeline revision %#x, want %#x", got, want)
+	}
+	if got, want := tinySnapshot(t).Revision, uint64(0xe7bf9d76c287dd17); got != want {
+		t.Errorf("tiny snapshot revision %#x, want %#x", got, want)
+	}
+}
+
 // --- ingest + shutdown drain -------------------------------------------------
 
 // TestShutdownDrainsAckedBatches is the zero-acked-record-loss contract:
@@ -484,6 +502,30 @@ func TestClassifyRejectsBadVectors(t *testing.T) {
 	resp, _ = postJSON(t, baseURL(s)+"/v1/classify", ClassifyRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty request: status %d", resp.StatusCode)
+	}
+}
+
+// TestClassifyLengthErrorNamesRequestAntenna: when cache hits precede a
+// wrong-length vector, the 400 names the vector's request index and id,
+// not its position among the cache misses.
+func TestClassifyLengthErrorNamesRequestAntenna(t *testing.T) {
+	s := startServer(t, tinySnapshot(t), Config{})
+	cached := AntennaVector{ID: 1, Revision: 7, Traffic: []float64{100, 5, 5}}
+	if resp, body := postJSON(t, baseURL(s)+"/v1/classify", ClassifyRequest{Antennas: []AntennaVector{cached}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up classify: %d %s", resp.StatusCode, body)
+	}
+	resp, body := postJSON(t, baseURL(s)+"/v1/classify", ClassifyRequest{
+		Antennas: []AntennaVector{cached, {ID: 2, Traffic: []float64{1, 2}}},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("wrong-length vector: status %d (%s)", resp.StatusCode, body)
+	}
+	var e errorBody
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatal(err)
+	}
+	if want := "antenna 1 (id 2) has 2 services, model expects 3"; e.Error != want {
+		t.Fatalf("error %q, want %q", e.Error, want)
 	}
 }
 

@@ -83,11 +83,18 @@ func (m *ModelSnapshot) fingerprint() uint64 {
 			n := &t.Nodes[i]
 			mix(uint64(int64(n.Feature)))
 			mix(math.Float64bits(n.Threshold))
+			if n.Feature < 0 {
+				// A leaf hashes as childless (0, 0) followed by its
+				// distribution; its Left is a Tree.Probs slot, not a child.
+				mix(0)
+				mix(0)
+				for _, p := range t.LeafProbs(i) {
+					mix(math.Float64bits(p))
+				}
+				continue
+			}
 			mix(uint64(int64(n.Left)))
 			mix(uint64(int64(n.Right)))
-			for _, p := range n.Probs {
-				mix(math.Float64bits(p))
-			}
 		}
 	}
 	// Forecast models are served under the same revision, so a retrain

@@ -11,13 +11,13 @@ import (
 // both children by their training-sample fractions. This is exactly the
 // conditional expectation TreeSHAP attributes against.
 func pathExpectation(t *forest.Tree, x []float64, inS func(int) bool, class int) float64 {
-	var walk func(node int) float64
-	walk = func(node int) float64 {
+	var walk func(node int32) float64
+	walk = func(node int32) float64 {
 		n := t.Nodes[node]
 		if n.Feature < 0 {
-			return n.Probs[class]
+			return t.LeafProbs(int(node))[class]
 		}
-		if inS(n.Feature) {
+		if inS(int(n.Feature)) {
 			if x[n.Feature] <= n.Threshold {
 				return walk(n.Left)
 			}

@@ -61,9 +61,9 @@ func TreeSHAP(t *forest.Tree, x []float64, class int, nFeatures int) Explanation
 func expectedValue(t *forest.Tree, class int) float64 {
 	rootSamples := float64(t.Nodes[0].Samples)
 	var sum float64
-	for _, n := range t.Nodes {
+	for i, n := range t.Nodes {
 		if n.Feature < 0 {
-			sum += float64(n.Samples) / rootSamples * n.Probs[class]
+			sum += float64(n.Samples) / rootSamples * t.LeafProbs(i)[class]
 		}
 	}
 	return sum
@@ -151,7 +151,7 @@ func (s *treeShap) recurse(nodeIdx, arenaOffset, uniqueDepth int, parentZero, pa
 	node := s.tree.Nodes[nodeIdx]
 	if node.Feature < 0 {
 		// Leaf: attribute to every feature on the unique path.
-		value := node.Probs[s.class]
+		value := s.tree.LeafProbs(nodeIdx)[s.class]
 		for i := 1; i <= uniqueDepth; i++ {
 			w := unwoundPathSum(path, uniqueDepth, i)
 			el := path[i]
@@ -160,7 +160,7 @@ func (s *treeShap) recurse(nodeIdx, arenaOffset, uniqueDepth int, parentZero, pa
 		return
 	}
 
-	var hot, cold int
+	var hot, cold int32
 	if s.x[node.Feature] <= node.Threshold {
 		hot, cold = node.Left, node.Right
 	} else {
@@ -175,7 +175,7 @@ func (s *treeShap) recurse(nodeIdx, arenaOffset, uniqueDepth int, parentZero, pa
 	// occurrence and inherit its fractions.
 	pathIndex := 0
 	for ; pathIndex <= uniqueDepth; pathIndex++ {
-		if path[pathIndex].feature == node.Feature {
+		if path[pathIndex].feature == int(node.Feature) {
 			break
 		}
 	}
@@ -187,8 +187,8 @@ func (s *treeShap) recurse(nodeIdx, arenaOffset, uniqueDepth int, parentZero, pa
 		depth--
 	}
 
-	s.recurse(hot, childOffset, depth+1, hotZero*incomingZero, incomingOne, node.Feature)
-	s.recurse(cold, childOffset, depth+1, coldZero*incomingZero, 0, node.Feature)
+	s.recurse(int(hot), childOffset, depth+1, hotZero*incomingZero, incomingOne, int(node.Feature))
+	s.recurse(int(cold), childOffset, depth+1, coldZero*incomingZero, 0, int(node.Feature))
 }
 
 // ForestSHAP averages TreeSHAP over every tree of the forest — valid
