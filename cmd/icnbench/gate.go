@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -116,12 +117,23 @@ func validateGateRows(rec benchRecord, expected []string) error {
 // runGate loads the baseline record, measures (or loads, with comparePath)
 // a candidate record, prints the per-stage table and returns an error when
 // any baseline stage regressed beyond the tolerance, exceeded its
-// absolute maxMS ceiling, or disappeared. A non-empty expect list also
-// pins the candidate's exact row schema (see validateGateRows).
+// absolute maxMS ceiling, or disappeared. A ceiling that names neither a
+// baseline stage nor TOTAL is an error too: it would enforce nothing. A
+// non-empty expect list also pins the candidate's exact row schema (see
+// validateGateRows).
 func runGate(cfg analysis.Config, baselinePath, comparePath, benchPath string, tolerance, floorMS float64, runs int, maxMS map[string]float64, expect []string) error {
 	base, err := readBenchRecord(baselinePath)
 	if err != nil {
 		return fmt.Errorf("bench gate: baseline: %w", err)
+	}
+	gated := []string{"TOTAL"}
+	for _, st := range base.Stages {
+		gated = append(gated, st.Name)
+	}
+	for name := range maxMS {
+		if !slices.Contains(gated, name) {
+			return fmt.Errorf("bench gate: gatemax: ceiling %q names no baseline stage (gated rows: %s)", name, strings.Join(gated, ","))
+		}
 	}
 	var cand benchRecord
 	if comparePath != "" {

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/analysis"
 )
 
 func gateFixture() (benchRecord, benchRecord) {
@@ -151,6 +156,36 @@ func TestCompareBenchCeilingAboveLimitIsInert(t *testing.T) {
 	// than the 80ms ceiling, so the relative limit stands.
 	if r := findRow(t, rows, "outdoor"); r.LimitMS != 75 {
 		t.Fatalf("outdoor limit %v, want relative 75", r.LimitMS)
+	}
+}
+
+// TestRunGateRejectsUnknownCeiling: a -gatemax ceiling must name a
+// baseline stage or TOTAL. compareBench looks ceilings up by row name, so
+// a misspelt stage ("forests") would otherwise enforce nothing.
+func TestRunGateRejectsUnknownCeiling(t *testing.T) {
+	base, cand := gateFixture()
+	dir := t.TempDir()
+	write := func(name string, rec benchRecord) string {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	basePath, candPath := write("base.json", base), write("cand.json", cand)
+	gate := func(maxMS map[string]float64) error {
+		return runGate(analysis.Config{}, basePath, candPath, "", 0.25, 25, 1, maxMS, nil)
+	}
+	if err := gate(map[string]float64{"forest": 10000, "TOTAL": 10000}); err != nil {
+		t.Fatalf("ceilings on a baseline stage and TOTAL: %v", err)
+	}
+	err := gate(map[string]float64{"forest": 10000, "forests": 150})
+	if err == nil || !strings.Contains(err.Error(), `"forests"`) {
+		t.Fatalf("ceiling on an unknown stage: err = %v, want one naming \"forests\"", err)
 	}
 }
 

@@ -153,8 +153,8 @@ func AddModelStages(g *pipe.Graph, ds *synth.Dataset, cfg Config, feats *Feature
 			return err
 		}
 		out.Surrogate = f
-		out.SurrogateAccuracy = f.Accuracy(feats.RSCA, clus.Labels)
-		return nil
+		out.SurrogateAccuracy, err = f.AccuracyContext(ctx, feats.RSCA, clus.Labels)
+		return err
 	})
 
 	g.Add("contingency", []string{labelsDep}, func(ctx context.Context) error {

@@ -242,13 +242,29 @@ func (f *Forest) PredictAllContext(ctx context.Context, x *mat.Dense) ([]int, er
 // It runs the batch kernel serially, one block at a time.
 func (f *Forest) Accuracy(x *mat.Dense, y []int) float64 {
 	n := x.Rows()
-	if n == 0 {
-		return 0
-	}
 	pred := make([]int, n)
 	acc := make([]float64, min(n, maxBlockRows)*f.Classes)
 	for lo := 0; lo < n; lo += maxBlockRows {
 		f.predictBlock(x, lo, min(lo+maxBlockRows, n), acc, pred)
+	}
+	return agreement(pred, y)
+}
+
+// AccuracyContext is Accuracy with the verdicts computed by
+// PredictAllContext on the pool carried by ctx. A cancelled ctx returns
+// ctx.Err().
+func (f *Forest) AccuracyContext(ctx context.Context, x *mat.Dense, y []int) (float64, error) {
+	pred, err := f.PredictAllContext(ctx, x)
+	if err != nil {
+		return 0, err
+	}
+	return agreement(pred, y), nil
+}
+
+// agreement returns the fraction of pred that matches y (0 when empty).
+func agreement(pred, y []int) float64 {
+	if len(pred) == 0 {
+		return 0
 	}
 	correct := 0
 	for i, p := range pred {
@@ -256,5 +272,5 @@ func (f *Forest) Accuracy(x *mat.Dense, y []int) float64 {
 			correct++
 		}
 	}
-	return float64(correct) / float64(n)
+	return float64(correct) / float64(len(pred))
 }

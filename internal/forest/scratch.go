@@ -4,22 +4,22 @@ import "sync"
 
 // growScratch holds the arenas the histogram tree grower reuses across
 // every node of a build: the feature permutation, the per-bin class-count
-// histogram, the cumulative left/right counts of the boundary scan, and
-// the sample-index arena that siblings partition in place instead of
-// allocating fresh slices per node. One scratch belongs to one goroutine
-// for the duration of a tree build (trees fan out over the shared
-// internal/pipe pool, so this is per-worker state); between builds it is
-// recycled through a sync.Pool. Every field is fully overwritten or
+// histogram, the node's present classes, the cumulative left/right counts
+// of the boundary scan, and the sample-index arena that siblings partition
+// in place instead of allocating fresh slices per node. One scratch
+// belongs to one goroutine for the duration of a tree build (trees fan out
+// over the shared internal/pipe pool, so this is per-worker state);
+// between builds it is recycled through a sync.Pool. Every field is fully overwritten or
 // zeroed before use, so recycling cannot leak state into results.
 type growScratch struct {
-	perm     []int // feature permutation, len = nFeatures
-	hist     []int // per-bin class counts, len = MaxBins * classes
-	binCount []int // per-bin sample totals, len = MaxBins
-	counts   []int // node class counts, len = classes
-	left     []int // cumulative class counts left of the candidate boundary
-	right    []int // class counts right of the candidate boundary
-	idx      []int // root sample-index arena, partitioned in place
-	aux      []int // right-half spill buffer of the stable partition
+	perm    []int // feature permutation, len = nFeatures
+	hist    []int // per-bin class counts, len = MaxBins * classes
+	counts  []int // node class counts, len = classes
+	present []int // classes with a nonzero node count, cap = classes
+	left    []int // cumulative class counts left of the candidate boundary
+	right   []int // class counts right of the candidate boundary
+	idx     []int // root sample-index arena, partitioned in place
+	aux     []int // right-half spill buffer of the stable partition
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(growScratch) }}
@@ -28,21 +28,17 @@ var scratchPool = sync.Pool{New: func() any { return new(growScratch) }}
 func getScratch(nFeatures, classes, n int) *growScratch {
 	s := scratchPool.Get().(*growScratch)
 	s.perm = ensureLen(s.perm, nFeatures)
-	// hist and binCount keep an all-zero invariant between split searches
-	// (the boundary scan re-zeroes exactly the entries the fill touched),
-	// so recycled arenas large enough are reused as-is and fresh ones
-	// start zeroed by make.
+	// hist keeps an all-zero invariant between split searches (the
+	// boundary scan re-zeroes exactly the entries the fill touched), so a
+	// recycled arena large enough is reused as-is and a fresh one starts
+	// zeroed by make.
 	if cap(s.hist) < MaxBins*classes {
 		s.hist = make([]int, MaxBins*classes)
 	} else {
 		s.hist = s.hist[:MaxBins*classes]
 	}
-	if cap(s.binCount) < MaxBins {
-		s.binCount = make([]int, MaxBins)
-	} else {
-		s.binCount = s.binCount[:MaxBins]
-	}
 	s.counts = ensureLen(s.counts, classes)
+	s.present = ensureLen(s.present, classes)
 	s.left = ensureLen(s.left, classes)
 	s.right = ensureLen(s.right, classes)
 	s.idx = ensureLen(s.idx, n)

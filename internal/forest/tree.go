@@ -8,6 +8,7 @@ package forest
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/mat"
 	"repro/internal/rng"
@@ -179,6 +180,11 @@ func appendLeaf(nodes []Node, i int, probs []float64, counts []int, total int) [
 // search visits — scanned in the same ascending order with the same
 // strict-improvement rule, so exact-mode columns reproduce its choices
 // bit for bit.
+//
+// The scan touches only what the node holds: the fill marks each occupied
+// bin in a 256-bit bitmap that the scan walks word by word, and each bin's
+// update runs over the classes present at the node. An absent class has
+// a zero count in every bin, so skipping it changes no integer.
 func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, threshold float64, ok bool) {
 	nFeatures := g.x.Cols()
 	candidates := nFeatures
@@ -195,73 +201,70 @@ func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, thresho
 	ok = false
 
 	// Parent sum of squared class counts, shared by every quantile-mode
-	// feature scan of this node.
+	// feature scan of this node, and the node's classes in ascending order.
 	parentSq := 0
-	for _, c := range parentCounts {
-		parentSq += c * c
+	present := g.s.present[:0]
+	for c, n := range parentCounts {
+		if n != 0 {
+			parentSq += n * n
+			present = append(present, c)
+		}
 	}
 
 	leftCounts := g.s.left[:g.classes]
 	rightCounts := g.s.right[:g.classes]
 
-	// hist and binCount are all-zero on entry (the scratch invariant);
-	// each feature's fill is undone bin by bin as the boundary scan
-	// consumes it, so per-node cost tracks the bins actually touched
-	// instead of the full MaxBins × classes arena.
+	// hist is all-zero on entry (the scratch invariant); each feature's
+	// fill is undone bin by bin as the boundary scan consumes it, so
+	// per-node cost tracks the bins actually touched instead of the full
+	// MaxBins × classes arena. occ likewise returns to zero word by word.
 	hist := g.s.hist
-	binCount := g.s.binCount
 	classes := g.classes
 	y := g.y
+	var occ [MaxBins / 64]uint64
 
 	for _, f := range perm {
 		col := g.bins.codes.Col(f)
-		minBin, maxBin := MaxBins, -1
 		for _, i := range idx {
-			b := int(col[i])
-			binCount[b]++
-			hist[b*classes+y[i]]++
-			if b < minBin {
-				minBin = b
-			}
-			if b > maxBin {
-				maxBin = b
-			}
+			b := col[i]
+			hist[int(b)*classes+y[i]]++
+			occ[b>>6] |= 1 << (b & 63)
 		}
 
 		copy(rightCounts, parentCounts)
-		for c := range leftCounts {
-			leftCounts[c] = 0
-		}
+		clear(leftCounts)
 		nLeft := 0
 		prev := -1
 		if g.bins.feats[f].Exact {
 			// Exact-mode scan: evaluate each boundary with the same gini()
 			// float sequence as the sort-based search — this is the path the
 			// bit-identical parity contract covers.
-			for b := minBin; b <= maxBin; b++ {
-				if binCount[b] == 0 {
-					continue
-				}
-				if prev >= 0 {
-					gl := gini(leftCounts, nLeft)
-					gr := gini(rightCounts, total-nLeft)
-					weighted := (float64(nLeft)*gl + float64(total-nLeft)*gr) / float64(total)
-					if gain := parentGini - weighted; gain > bestGain {
-						bestGain = gain
-						feature = f
-						threshold = g.bins.splitThreshold(f, prev, b)
-						ok = true
+			for w := range occ {
+				word := occ[w]
+				occ[w] = 0
+				for ; word != 0; word &= word - 1 {
+					b := w<<6 | bits.TrailingZeros64(word)
+					if prev >= 0 {
+						gl := gini(leftCounts, nLeft)
+						gr := gini(rightCounts, total-nLeft)
+						weighted := (float64(nLeft)*gl + float64(total-nLeft)*gr) / float64(total)
+						if gain := parentGini - weighted; gain > bestGain {
+							bestGain = gain
+							feature = f
+							threshold = g.bins.splitThreshold(f, prev, b)
+							ok = true
+						}
 					}
+					row := hist[b*classes : b*classes+classes]
+					for _, c := range present {
+						h := row[c]
+						leftCounts[c] += h
+						rightCounts[c] -= h
+						nLeft += h
+						row[c] = 0
+					}
+					prev = b
 				}
-				row := hist[b*classes : b*classes+classes]
-				for c, h := range row {
-					leftCounts[c] += h
-					rightCounts[c] -= h
-					row[c] = 0
-				}
-				nLeft += binCount[b]
-				binCount[b] = 0
-				prev = b
 			}
 			continue
 		}
@@ -273,33 +276,33 @@ func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, thresho
 		// so no bit-level contract binds the arithmetic; the score is
 		// algebraically the same weighted Gini.
 		ssL, ssR := 0, parentSq
-		for b := minBin; b <= maxBin; b++ {
-			if binCount[b] == 0 {
-				continue
-			}
-			if prev >= 0 {
-				nRight := total - nLeft
-				weighted := 1 - (float64(ssL)/float64(nLeft)+float64(ssR)/float64(nRight))/float64(total)
-				if gain := parentGini - weighted; gain > bestGain {
-					bestGain = gain
-					feature = f
-					threshold = g.bins.splitThreshold(f, prev, b)
-					ok = true
+		for w := range occ {
+			word := occ[w]
+			occ[w] = 0
+			for ; word != 0; word &= word - 1 {
+				b := w<<6 | bits.TrailingZeros64(word)
+				if prev >= 0 {
+					nRight := total - nLeft
+					weighted := 1 - (float64(ssL)/float64(nLeft)+float64(ssR)/float64(nRight))/float64(total)
+					if gain := parentGini - weighted; gain > bestGain {
+						bestGain = gain
+						feature = f
+						threshold = g.bins.splitThreshold(f, prev, b)
+						ok = true
+					}
 				}
-			}
-			row := hist[b*classes : b*classes+classes]
-			for c, h := range row {
-				if h != 0 {
+				row := hist[b*classes : b*classes+classes]
+				for _, c := range present {
+					h := row[c]
 					ssL += h * (h + 2*leftCounts[c])
 					ssR += h * (h - 2*rightCounts[c])
 					leftCounts[c] += h
 					rightCounts[c] -= h
+					nLeft += h
 					row[c] = 0
 				}
+				prev = b
 			}
-			nLeft += binCount[b]
-			binCount[b] = 0
-			prev = b
 		}
 	}
 	return feature, threshold, ok

@@ -193,6 +193,32 @@ func TestSnapshotRevisionGolden(t *testing.T) {
 	}
 }
 
+// TestSnapshotRevisionGoldenQuantile pins the revision of a model trained
+// in the quantile-binning regime — every RSCA column has more than
+// forest.MaxBins distinct values, as at the perfbench and production
+// shapes — to a value recorded before the occupancy-bitmap split scan.
+// The exact-regime goldens above cannot see a change to the quantile
+// path.
+func TestSnapshotRevisionGoldenQuantile(t *testing.T) {
+	res, err := analysis.Run(analysis.Config{Seed: 1, Scale: 0.1, ForestTrees: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins := forest.BinFeatures(res.RSCA)
+	for j := 0; j < res.RSCA.Cols(); j++ {
+		if bins.Feature(j).Exact {
+			t.Fatalf("fixture column %d is in the exact-binning regime; grow the fixture", j)
+		}
+	}
+	snap, err := NewModelSnapshot(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := snap.Revision, uint64(0x435221d33e4a9669); got != want {
+		t.Errorf("quantile-regime revision %#x, want %#x", got, want)
+	}
+}
+
 // --- ingest + shutdown drain -------------------------------------------------
 
 // TestShutdownDrainsAckedBatches is the zero-acked-record-loss contract:
