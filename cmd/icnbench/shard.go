@@ -41,6 +41,8 @@ type shardBenchRecord struct {
 	AckedRecords  int64  `json:"acked_records"`
 	Rejected429   int64  `json:"rejected_429"`
 	FoldedRecords int    `json:"folded_records"`
+	ShardKills    int64  `json:"shard_kills"`
+	ReplicaKills  int64  `json:"replica_kills"`
 
 	IngestWallMS   float64 `json:"ingest_wall_ms"`
 	RecordsPerS    float64 `json:"records_per_s"`
@@ -335,6 +337,8 @@ func runShardBench(cfg analysis.Config, shards, replicas, clients, batches, perB
 	rec.AckedRecords = st.AckedRecords
 	rec.Rejected429 = st.RejectedBatches
 	rec.FoldedRecords = st.FoldedRecords
+	rec.ShardKills = rt.Metrics().Counter("shard.kills")
+	rec.ReplicaKills = rt.Metrics().Counter("shard.replica.kills")
 	if st.AckedRecords != int64(total) {
 		return fmt.Errorf("icnbench: acked %d records, drove %d", st.AckedRecords, total)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/obs"
 )
 
 // readRecord decodes the JSON record a bench leg wrote.
@@ -49,20 +48,17 @@ func TestChaosSoak(t *testing.T) {
 // must all be acked and folded, across one shard kill and one replica kill.
 func TestShardBench(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shard.json")
-	before := obs.Counters()
 	cfg := analysis.Config{Seed: 7, Scale: 0.05, ForestTrees: 15}
 	if err := runShardBench(cfg, 3, 2, 2, 6, 500, path); err != nil {
 		t.Fatal(err)
 	}
-	after := obs.Counters()
 	var rec shardBenchRecord
 	readRecord(t, path, &rec)
 	if rec.AckedRecords != 6000 || rec.FoldedRecords != 6000 {
 		t.Fatalf("acked %d, folded %d records; want 6000 each", rec.AckedRecords, rec.FoldedRecords)
 	}
-	for _, name := range []string{"shard.kills", "shard.replica.kills"} {
-		if d := after[name] - before[name]; d < 1 {
-			t.Errorf("%s grew by %d during the run, want at least 1", name, d)
-		}
+	if rec.ShardKills < 1 || rec.ReplicaKills < 1 {
+		t.Errorf("the router counted %d shard and %d replica kills, want at least 1 each",
+			rec.ShardKills, rec.ReplicaKills)
 	}
 }

@@ -150,37 +150,28 @@ type Evaluation struct {
 // scores it. holdout must be a positive multiple of 24 and leave at least
 // two seasons for training.
 func Backtest(series []float64, holdout int, cfg Config) (Evaluation, error) {
-	if holdout <= 0 || holdout%24 != 0 {
-		return Evaluation{}, fmt.Errorf("forecast: holdout must be a positive multiple of 24, got %d", holdout)
+	train, actual, err := split(series, holdout)
+	if err != nil {
+		return Evaluation{}, err
 	}
-	train := series[:len(series)-holdout]
 	m, err := Fit(train, cfg)
 	if err != nil {
 		return Evaluation{}, err
 	}
-	pred := m.Forecast(holdout)
-	actual := series[len(series)-holdout:]
+	return score(m.Forecast(holdout), actual), nil
+}
 
-	var mae, smape float64
-	for i := range actual {
-		diff := math.Abs(pred[i] - actual[i])
-		mae += diff
-		if denom := (math.Abs(pred[i]) + math.Abs(actual[i])) / 2; denom > 0 {
-			smape += diff / denom
-		}
+// split checks a backtest holdout and cuts the series into its training
+// prefix and held-out suffix.
+func split(series []float64, holdout int) (train, actual []float64, err error) {
+	if holdout <= 0 || holdout%24 != 0 {
+		return nil, nil, fmt.Errorf("forecast: holdout must be a positive multiple of 24, got %d", holdout)
 	}
-	n := float64(len(actual))
-	ev := Evaluation{MAE: mae / n, SMAPE: smape / n}
-
-	days := holdout / 24
-	hits := 0
-	for d := 0; d < days; d++ {
-		if argmax(pred[d*24:(d+1)*24]) == argmax(actual[d*24:(d+1)*24]) {
-			hits++
-		}
+	if holdout > len(series) {
+		return nil, nil, fmt.Errorf("%w: holdout %d exceeds the %d-sample series", ErrTooShort, holdout, len(series))
 	}
-	ev.PeakHourHit = hits*2 >= days
-	return ev, nil
+	cut := len(series) - holdout
+	return series[:cut], series[cut:], nil
 }
 
 func argmax(xs []float64) int {
@@ -223,17 +214,15 @@ func ForecastLog(m *Model, h int) []float64 {
 
 // BacktestLog evaluates a log-space fit against the raw-scale holdout.
 func BacktestLog(series []float64, holdout int, cfg Config) (Evaluation, error) {
-	if holdout <= 0 || holdout%24 != 0 {
-		return Evaluation{}, fmt.Errorf("forecast: holdout must be a positive multiple of 24, got %d", holdout)
+	train, actual, err := split(series, holdout)
+	if err != nil {
+		return Evaluation{}, err
 	}
-	train := series[:len(series)-holdout]
 	m, err := FitLog(train, cfg)
 	if err != nil {
 		return Evaluation{}, err
 	}
-	pred := ForecastLog(m, holdout)
-	actual := series[len(series)-holdout:]
-	return score(pred, actual), nil
+	return score(ForecastLog(m, holdout), actual), nil
 }
 
 // score computes the shared evaluation metrics of a forecast.
@@ -276,27 +265,12 @@ func SeasonalNaive(series []float64, h, season int) []float64 {
 // BacktestNaive scores the seasonal-naive baseline on the same split as
 // Backtest.
 func BacktestNaive(series []float64, holdout, season int) (Evaluation, error) {
-	if holdout <= 0 || holdout%24 != 0 || len(series) <= holdout+season {
-		return Evaluation{}, fmt.Errorf("forecast: invalid naive backtest split")
+	train, actual, err := split(series, holdout)
+	if err != nil {
+		return Evaluation{}, err
 	}
-	train := series[:len(series)-holdout]
-	pred := SeasonalNaive(train, holdout, season)
-	actual := series[len(series)-holdout:]
-	var mae, smape float64
-	for i := range actual {
-		diff := math.Abs(pred[i] - actual[i])
-		mae += diff
-		if denom := (math.Abs(pred[i]) + math.Abs(actual[i])) / 2; denom > 0 {
-			smape += diff / denom
-		}
+	if len(train) <= season {
+		return Evaluation{}, fmt.Errorf("forecast: naive backtest needs more than one %d-sample season of training, got %d", season, len(train))
 	}
-	n := float64(len(actual))
-	days := holdout / 24
-	hits := 0
-	for d := 0; d < days; d++ {
-		if argmax(pred[d*24:(d+1)*24]) == argmax(actual[d*24:(d+1)*24]) {
-			hits++
-		}
-	}
-	return Evaluation{MAE: mae / n, SMAPE: smape / n, PeakHourHit: hits*2 >= days}, nil
+	return score(SeasonalNaive(train, holdout, season), actual), nil
 }

@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -152,6 +153,56 @@ func TestBacktestValidation(t *testing.T) {
 	}
 	if _, err := BacktestNaive(series[:190], 24, SeasonLength); err == nil {
 		t.Fatal("naive backtest with too-short series should fail")
+	}
+}
+
+// TestBacktestEvaluationsPinned pins every backtest's Evaluation bit for
+// bit on one fixed series, so the three backtests keep scoring exactly as
+// they did before they shared one scorer.
+func TestBacktestEvaluationsPinned(t *testing.T) {
+	series := synthetic(6, 0.03, 3, 11)
+	hw, err := Backtest(series, 72, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg, err := BacktestLog(series, 72, Config{Alpha: 0.15, Beta: 0.02, Gamma: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nv, err := BacktestNaive(series, 72, SeasonLength)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got       Evaluation
+		mae, smap uint64
+		peak      bool
+	}{
+		{"Backtest", hw, 0x40081e9b6b349dc5, 0x3fb1174edb46f133, false},
+		{"BacktestLog", lg, 0x402e3031c8f86f80, 0x3fd67025ff61aa4a, true},
+		{"BacktestNaive", nv, 0x4015c63bbb05dd47, 0x3fc08e612e02e0fa, false},
+	} {
+		if math.Float64bits(c.got.MAE) != c.mae || math.Float64bits(c.got.SMAPE) != c.smap || c.got.PeakHourHit != c.peak {
+			t.Errorf("%s = %+v, want MAE %v SMAPE %v PeakHourHit %v", c.name, c.got,
+				math.Float64frombits(c.mae), math.Float64frombits(c.smap), c.peak)
+		}
+	}
+}
+
+// TestBacktestHoldoutLongerThanSeries asks every backtest to hold out more
+// samples than the series has: each must return an error, not panic.
+func TestBacktestHoldoutLongerThanSeries(t *testing.T) {
+	series := synthetic(2, 0, 0, 1)
+	holdout := len(series) + 24
+	if _, err := Backtest(series, holdout, Config{}); !errors.Is(err, ErrTooShort) {
+		t.Errorf("Backtest: err %v, want ErrTooShort", err)
+	}
+	if _, err := BacktestLog(series, holdout, Config{}); !errors.Is(err, ErrTooShort) {
+		t.Errorf("BacktestLog: err %v, want ErrTooShort", err)
+	}
+	if _, err := BacktestNaive(series, holdout, SeasonLength); !errors.Is(err, ErrTooShort) {
+		t.Errorf("BacktestNaive: err %v, want ErrTooShort", err)
 	}
 }
 

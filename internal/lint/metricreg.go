@@ -4,25 +4,28 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
+	"go/types"
 	"sort"
 )
 
 // metricreg closes the metric namespace: every metric name the module
 // emits through internal/obs must be registered in the obs.Catalog
 // exactly once with the matching kind, and every non-dynamic catalog
-// entry must be emitted from at least one call site. The obs package
-// exports its catalog as a package fact, every other package exports the
-// metric uses it observed, and the finish pass joins the two — so an
-// unregistered series, a dead registration, a duplicate entry or a
-// counter observed as a histogram is a lint failure, not a dashboard
-// surprise.
+// entry must be emitted from at least one call site, through an
+// *obs.Registry method exactly when the entry is marked Instance. The obs
+// package exports its catalog as a package fact, every other package
+// exports the metric uses (and Registry.Counter reads) it observed, and
+// the finish pass joins the two — so an unregistered series, a dead
+// registration, a duplicate entry, a counter observed as a histogram or a
+// series in the wrong registry is a lint failure, not a dashboard surprise.
 
 // metricCatalogEntry is one obs.Catalog row as seen by the analyzer.
 type metricCatalogEntry struct {
-	Name    string
-	Kind    string // "counter" | "histogram"
-	Dynamic bool
-	Pos     token.Position
+	Name     string
+	Kind     string // "counter" | "histogram"
+	Dynamic  bool
+	Instance bool
+	Pos      token.Position
 }
 
 // metricCatalogFact is the package fact the obs package exports.
@@ -30,12 +33,15 @@ type metricCatalogFact struct {
 	Entries []metricCatalogEntry
 }
 
-// metricUse is one obs.Add / obs.ObserveMS / obs.GetHistogram call site
-// with a constant metric name.
+// metricUse is one obs.Add / obs.ObserveMS / obs.GetHistogram call site,
+// or a call of the obs.Registry method of that name or of its Counter
+// reader, with a constant metric name.
 type metricUse struct {
-	Name string
-	Kind string
-	Pos  token.Position
+	Name   string
+	Kind   string
+	Method bool // through an *obs.Registry, not obs.Default
+	Read   bool // Registry.Counter: names a series, emits nothing
+	Pos    token.Position
 }
 
 // metricUseFact is the package fact every non-obs package exports.
@@ -56,10 +62,12 @@ var MetricRegistry = &Analyzer{
 func obsPkgPath(modulePath string) string { return modulePath + "/internal/obs" }
 
 // metricEmitters maps the obs entry points to the metric kind they imply.
+// Counter exists only as the Registry reader.
 var metricEmitters = map[string]string{
 	"Add":          "counter",
 	"ObserveMS":    "histogram",
 	"GetHistogram": "histogram",
+	"Counter":      "counter",
 }
 
 func runMetricReg(pass *Pass) {
@@ -90,7 +98,10 @@ func runMetricReg(pass *Pass) {
 				"metric name passed to obs.%s is not a string constant; dynamic names bypass the catalog (register every composed name and annotate the site)", fn.Name())
 			return true
 		}
-		fact.Uses = append(fact.Uses, metricUse{Name: name, Kind: kind, Pos: pass.Fset.Position(call.Args[0].Pos())})
+		// Registry is the only obs type with methods of these names.
+		method := fn.Type().(*types.Signature).Recv() != nil
+		fact.Uses = append(fact.Uses, metricUse{Name: name, Kind: kind, Method: method,
+			Read: fn.Name() == "Counter", Pos: pass.Fset.Position(call.Args[0].Pos())})
 		return true
 	})
 	if len(fact.Uses) > 0 {
@@ -168,9 +179,13 @@ func parseCatalogEntry(pass *Pass, elt ast.Expr) (metricCatalogEntry, bool) {
 					entry.Kind = "histogram"
 				}
 			}
-		case "Dynamic":
+		case "Dynamic", "Instance":
 			if id, ok := ast.Unparen(kv.Value).(*ast.Ident); ok && id.Name == "true" {
-				entry.Dynamic = true
+				if key.Name == "Dynamic" {
+					entry.Dynamic = true
+				} else {
+					entry.Instance = true
+				}
 			}
 		}
 	}
@@ -208,7 +223,15 @@ func finishMetricReg(fp *FinishPass) {
 			if entry.Kind != u.Kind {
 				fp.Reportf(u.Pos, "metric %q is registered as a %s but emitted as a %s", u.Name, entry.Kind, u.Kind)
 			}
-			used[u.Name] = true
+			switch {
+			case entry.Instance && !u.Method:
+				fp.Reportf(u.Pos, "metric %q is instance-scoped; use the owning server's or router's *obs.Registry, not the process-wide obs functions", u.Name)
+			case !entry.Instance && u.Method:
+				fp.Reportf(u.Pos, "metric %q is process-scoped; use the package-level obs functions (obs.Default), not an instance registry", u.Name)
+			}
+			if !u.Read {
+				used[u.Name] = true
+			}
 		}
 	})
 	// Dead registrations: a non-dynamic entry no call site emits.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -26,21 +25,14 @@ type Histogram struct {
 // serving path: sub-millisecond cache hits up to multi-second stragglers.
 var DefaultLatencyBuckets = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
-// histograms is the process-wide histogram registry, mirroring the counter
-// registry: one named histogram per metric, created on first use.
-var (
-	histMu sync.Mutex
-	hists  = map[string]*Histogram{}
-)
-
 // GetHistogram returns the named histogram, creating it with the given
 // bucket bounds on first use (nil bounds select DefaultLatencyBuckets).
 // Later calls ignore bounds, so concurrent callers always share one
 // instance.
-func GetHistogram(name string, bounds []float64) *Histogram {
-	histMu.Lock()
-	defer histMu.Unlock()
-	if h, ok := hists[name]; ok {
+func (r *Registry) GetHistogram(name string, bounds []float64) *Histogram {
+	r.histMu.Lock()
+	defer r.histMu.Unlock()
+	if h, ok := r.hists[name]; ok {
 		return h
 	}
 	if bounds == nil {
@@ -50,18 +42,24 @@ func GetHistogram(name string, bounds []float64) *Histogram {
 	copy(b, bounds)
 	sort.Float64s(b)
 	h := &Histogram{name: name, bounds: b, counts: make([]int64, len(b)+1)}
-	hists[name] = h
+	r.hists[name] = h
 	return h
 }
 
 // ObserveMS records one observation (in milliseconds) into the named
 // histogram with the default latency buckets.
-func ObserveMS(name string, ms float64) {
-	GetHistogram(name, nil).Observe(ms)
+func (r *Registry) ObserveMS(name string, ms float64) {
+	r.GetHistogram(name, nil).Observe(ms)
 }
 
-// Name returns the histogram's registry name.
-func (h *Histogram) Name() string { return h.name }
+// GetHistogram returns the named process-wide histogram (see
+// Registry.GetHistogram).
+func GetHistogram(name string, bounds []float64) *Histogram {
+	return Default.GetHistogram(name, bounds)
+}
+
+// ObserveMS records one observation into the named process-wide histogram.
+func ObserveMS(name string, ms float64) { Default.ObserveMS(name, ms) }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
@@ -137,14 +135,14 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Histograms snapshots every registered histogram, sorted by name.
-func Histograms() []HistogramSnapshot {
-	histMu.Lock()
-	all := make([]*Histogram, 0, len(hists))
-	for _, h := range hists {
+// Histograms snapshots every histogram, sorted by name.
+func (r *Registry) Histograms() []HistogramSnapshot {
+	r.histMu.Lock()
+	all := make([]*Histogram, 0, len(r.hists))
+	for _, h := range r.hists {
 		all = append(all, h)
 	}
-	histMu.Unlock()
+	r.histMu.Unlock()
 	out := make([]HistogramSnapshot, 0, len(all))
 	for _, h := range all {
 		out = append(out, h.Snapshot())
@@ -156,9 +154,9 @@ func Histograms() []HistogramSnapshot {
 // MetricsText renders every counter and histogram in the Prometheus text
 // exposition format. Metric names are derived from registry names by
 // replacing non-alphanumeric runes with underscores and prefixing "icn_".
-func MetricsText() string {
+func (r *Registry) MetricsText() string {
 	var b strings.Builder
-	snap := Counters()
+	snap := r.Counters()
 	names := make([]string, 0, len(snap))
 	for n := range snap {
 		names = append(names, n)
@@ -168,7 +166,7 @@ func MetricsText() string {
 		m := metricName(n)
 		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", m, m, snap[n])
 	}
-	for _, h := range Histograms() {
+	for _, h := range r.Histograms() {
 		m := metricName(h.Name)
 		fmt.Fprintf(&b, "# TYPE %s histogram\n", m)
 		for i, bound := range h.Bounds {
@@ -180,6 +178,10 @@ func MetricsText() string {
 	}
 	return b.String()
 }
+
+// MetricsText renders the process-wide registry (see
+// Registry.MetricsText).
+func MetricsText() string { return Default.MetricsText() }
 
 func metricName(name string) string {
 	var b strings.Builder

@@ -7,9 +7,10 @@ package obs
 // here exactly once, with the matching kind, and every non-dynamic entry
 // must have at least one call site — so /metrics cannot silently grow
 // unregistered series or carry dead registrations. At runtime the catalog
-// seeds the registries (see init below), so every registered metric is
+// seeds the registries (see newRegistry), so every registered metric is
 // present on /metrics from the first scrape, at zero, instead of appearing
-// only after its first increment.
+// only after its first increment. The Instance column splits the catalog
+// between obs.Default and the per-instance registries.
 
 // MetricKind distinguishes the two registry shapes.
 type MetricKind string
@@ -37,9 +38,13 @@ type MetricDef struct {
 	// the metricreg "must have a static call site" check; their call sites
 	// carry a //lint:allow metricreg annotation instead.
 	Dynamic bool
+	// Instance marks a series one serve.Server or shard.Router owns, in
+	// its own Registry (NewRegistry); unmarked entries live in Default.
+	// metricreg rejects a call site in the wrong registry.
+	Instance bool
 	// Buckets overrides a histogram's bucket upper bounds (default:
 	// DefaultLatencyBuckets). Because the registry is first-caller-wins and
-	// init seeds every cataloged metric, non-latency histograms (queue
+	// seeds every cataloged metric, non-latency histograms (queue
 	// depths, ring occupancy shares) must declare their bounds here rather
 	// than at a call site.
 	Buckets []float64
@@ -47,7 +52,8 @@ type MetricDef struct {
 
 // Catalog lists every metric the module emits. Keep it sorted by name
 // within each group; metricreg rejects duplicates, unregistered call
-// sites, kind mismatches, and non-dynamic entries with no call site.
+// sites, kind or scope mismatches, and non-dynamic entries with no call
+// site.
 var Catalog = []MetricDef{
 	// Pipeline engine.
 	{Name: "pipe.foreach", Kind: KindCounter, Help: "pool fan-out calls"},
@@ -56,55 +62,55 @@ var Catalog = []MetricDef{
 	{Name: "pipe.tasks", Kind: KindCounter, Help: "tracked auxiliary goroutines spawned"},
 
 	// Serving: ingest.
-	{Name: "serve.ingest.batches", Kind: KindCounter, Help: "probe batches acked (202)"},
-	{Name: "serve.ingest.folded", Kind: KindCounter, Help: "records folded into the aggregate by drain workers"},
-	{Name: "serve.ingest.latency.ms", Kind: KindHistogram, Help: "ingest handler latency"},
-	{Name: "serve.ingest.malformed", Kind: KindCounter, Help: "malformed probe streams rejected"},
-	{Name: "serve.ingest.records", Kind: KindCounter, Help: "probe records acked"},
-	{Name: "serve.ingest.rejected", Kind: KindCounter, Help: "batches rejected with 429 backpressure"},
+	{Name: "serve.ingest.batches", Kind: KindCounter, Instance: true, Help: "probe batches acked (202)"},
+	{Name: "serve.ingest.folded", Kind: KindCounter, Instance: true, Help: "records folded into the aggregate by drain workers"},
+	{Name: "serve.ingest.latency.ms", Kind: KindHistogram, Instance: true, Help: "ingest handler latency"},
+	{Name: "serve.ingest.malformed", Kind: KindCounter, Instance: true, Help: "malformed probe streams rejected"},
+	{Name: "serve.ingest.records", Kind: KindCounter, Instance: true, Help: "probe records acked"},
+	{Name: "serve.ingest.rejected", Kind: KindCounter, Instance: true, Help: "batches rejected with 429 backpressure"},
 
 	// Serving: classify.
-	{Name: "serve.classify.antennas", Kind: KindCounter, Help: "traffic vectors classified"},
-	{Name: "serve.classify.cache.hits", Kind: KindCounter, Help: "verdicts served from the revision LRU"},
-	{Name: "serve.classify.cache.misses", Kind: KindCounter, Help: "verdicts that ran the model"},
-	{Name: "serve.classify.latency.ms", Kind: KindHistogram, Help: "classify handler latency"},
-	{Name: "serve.classify.requests", Kind: KindCounter, Help: "classify requests"},
+	{Name: "serve.classify.antennas", Kind: KindCounter, Instance: true, Help: "traffic vectors classified"},
+	{Name: "serve.classify.cache.hits", Kind: KindCounter, Instance: true, Help: "verdicts served from the revision LRU"},
+	{Name: "serve.classify.cache.misses", Kind: KindCounter, Instance: true, Help: "verdicts that ran the model"},
+	{Name: "serve.classify.latency.ms", Kind: KindHistogram, Instance: true, Help: "classify handler latency"},
+	{Name: "serve.classify.requests", Kind: KindCounter, Instance: true, Help: "classify requests"},
 
 	// Serving: forecast + capacity planning.
-	{Name: "serve.forecast.cache.hits", Kind: KindCounter, Help: "forecasts served from the revision LRU"},
-	{Name: "serve.forecast.cache.misses", Kind: KindCounter, Help: "forecasts computed from the model set"},
-	{Name: "serve.forecast.latency.ms", Kind: KindHistogram, Help: "forecast handler latency"},
-	{Name: "serve.forecast.requests", Kind: KindCounter, Help: "forecast requests"},
-	{Name: "serve.plan.latency.ms", Kind: KindHistogram, Help: "plan handler latency"},
-	{Name: "serve.plan.requests", Kind: KindCounter, Help: "capacity-planning scenario requests"},
+	{Name: "serve.forecast.cache.hits", Kind: KindCounter, Instance: true, Help: "forecasts served from the revision LRU"},
+	{Name: "serve.forecast.cache.misses", Kind: KindCounter, Instance: true, Help: "forecasts computed from the model set"},
+	{Name: "serve.forecast.latency.ms", Kind: KindHistogram, Instance: true, Help: "forecast handler latency"},
+	{Name: "serve.forecast.requests", Kind: KindCounter, Instance: true, Help: "forecast requests"},
+	{Name: "serve.plan.latency.ms", Kind: KindHistogram, Instance: true, Help: "plan handler latency"},
+	{Name: "serve.plan.requests", Kind: KindCounter, Instance: true, Help: "capacity-planning scenario requests"},
 
 	// Serving: model lifecycle.
-	{Name: "serve.model.swaps", Kind: KindCounter, Help: "snapshot swaps published"},
-	{Name: "serve.refresh.errors", Kind: KindCounter, Help: "refresh attempts that failed"},
-	{Name: "serve.refresh.escalations", Kind: KindCounter, Help: "warm refreshes escalated to full re-linkage"},
-	{Name: "serve.refresh.latency.ms", Kind: KindHistogram, Help: "end-to-end refresh duration"},
-	{Name: "serve.refresh.reassigned", Kind: KindCounter, Help: "antennas reassigned across refreshes"},
-	{Name: "serve.refresh.runs", Kind: KindCounter, Help: "completed refresh runs"},
-	{Name: "serve.refresh.skipped", Kind: KindCounter, Help: "refresh ticks with no new aggregates"},
+	{Name: "serve.model.swaps", Kind: KindCounter, Instance: true, Help: "snapshot swaps published"},
+	{Name: "serve.refresh.errors", Kind: KindCounter, Instance: true, Help: "refresh attempts that failed"},
+	{Name: "serve.refresh.escalations", Kind: KindCounter, Instance: true, Help: "warm refreshes escalated to full re-linkage"},
+	{Name: "serve.refresh.latency.ms", Kind: KindHistogram, Instance: true, Help: "end-to-end refresh duration"},
+	{Name: "serve.refresh.reassigned", Kind: KindCounter, Instance: true, Help: "antennas reassigned across refreshes"},
+	{Name: "serve.refresh.runs", Kind: KindCounter, Instance: true, Help: "completed refresh runs"},
+	{Name: "serve.refresh.skipped", Kind: KindCounter, Instance: true, Help: "refresh ticks with no new aggregates"},
 
 	// Sharded ingest + replicated serving (internal/shard).
-	{Name: "shard.fanout.lag.ms", Kind: KindHistogram, Help: "snapshot fan-out lag behind the primary swap"},
-	{Name: "shard.fanout.swaps", Kind: KindCounter, Help: "replica snapshot swaps fanned out after a refresh"},
-	{Name: "shard.fold.records", Kind: KindCounter, Help: "records folded into per-shard sinks by drain workers"},
-	{Name: "shard.ingest.batches", Kind: KindCounter, Help: "sharded probe batches acked (202) by the router"},
-	{Name: "shard.ingest.latency.ms", Kind: KindHistogram, Help: "router ingest handler latency"},
-	{Name: "shard.ingest.malformed", Kind: KindCounter, Help: "malformed probe streams rejected by the router"},
-	{Name: "shard.ingest.records", Kind: KindCounter, Help: "sharded probe records acked by the router"},
-	{Name: "shard.ingest.rejected", Kind: KindCounter, Help: "batches rejected with 429 router backpressure"},
-	{Name: "shard.kills", Kind: KindCounter, Help: "shards killed: drained and removed from the ring"},
-	{Name: "shard.queue.depth", Kind: KindHistogram, Help: "per-shard queue depth in batches, sampled at enqueue",
+	{Name: "shard.fanout.lag.ms", Kind: KindHistogram, Instance: true, Help: "snapshot fan-out lag behind the primary swap"},
+	{Name: "shard.fanout.swaps", Kind: KindCounter, Instance: true, Help: "replica snapshot swaps fanned out after a refresh"},
+	{Name: "shard.fold.records", Kind: KindCounter, Instance: true, Help: "records folded into per-shard sinks by drain workers"},
+	{Name: "shard.ingest.batches", Kind: KindCounter, Instance: true, Help: "sharded probe batches acked (202) by the router"},
+	{Name: "shard.ingest.latency.ms", Kind: KindHistogram, Instance: true, Help: "router ingest handler latency"},
+	{Name: "shard.ingest.malformed", Kind: KindCounter, Instance: true, Help: "malformed probe streams rejected by the router"},
+	{Name: "shard.ingest.records", Kind: KindCounter, Instance: true, Help: "sharded probe records acked by the router"},
+	{Name: "shard.ingest.rejected", Kind: KindCounter, Instance: true, Help: "batches rejected with 429 router backpressure"},
+	{Name: "shard.kills", Kind: KindCounter, Instance: true, Help: "shards killed: drained and removed from the ring"},
+	{Name: "shard.queue.depth", Kind: KindHistogram, Instance: true, Help: "per-shard queue depth in batches, sampled at enqueue",
 		Buckets: []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}},
-	{Name: "shard.replica.kills", Kind: KindCounter, Help: "serve replicas killed and removed from routing"},
+	{Name: "shard.replica.kills", Kind: KindCounter, Instance: true, Help: "serve replicas killed and removed from routing"},
 	{Name: "shard.ring.changes", Kind: KindCounter, Help: "ring membership changes (shard added or removed)"},
 	{Name: "shard.ring.occupancy", Kind: KindHistogram, Help: "per-alive-shard share of the hash space, observed at each membership change",
 		Buckets: []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.7, 1}},
-	{Name: "shard.router.failovers", Kind: KindCounter, Help: "proxied requests retried on another replica"},
-	{Name: "shard.router.proxied", Kind: KindCounter, Help: "requests proxied to serve replicas"},
+	{Name: "shard.router.failovers", Kind: KindCounter, Instance: true, Help: "proxied requests retried on another replica"},
+	{Name: "shard.router.proxied", Kind: KindCounter, Instance: true, Help: "requests proxied to serve replicas"},
 
 	// Fault injection: one errs/delays pair per fault.Site, with the name
 	// composed at the injection site ("fault." + site + suffix).
@@ -124,17 +130,4 @@ var Catalog = []MetricDef{
 	{Name: "fault.serve.ingest.errs", Kind: KindCounter, Help: "injected ingest errors", Dynamic: true},
 	{Name: "fault.shard.fold.delays", Kind: KindCounter, Help: "injected shard-fold delays", Dynamic: true},
 	{Name: "fault.shard.fold.errs", Kind: KindCounter, Help: "injected shard-fold errors", Dynamic: true},
-}
-
-// init seeds the registries from the catalog so every registered metric is
-// emitted on /metrics (at zero) before its first observation.
-func init() {
-	for _, d := range Catalog {
-		switch d.Kind {
-		case KindCounter:
-			Add(d.Name, 0)
-		case KindHistogram:
-			GetHistogram(d.Name, d.Buckets)
-		}
-	}
 }

@@ -1,14 +1,14 @@
 // Package obs provides the lightweight observability layer of the staged
 // pipeline engine: per-stage wall time, allocation and goroutine-count
 // traces recorded by the internal/pipe scheduler and surfaced on the
-// public analysis Result, plus process-wide named counters the worker
-// pool and substrates increment. Everything is safe for concurrent use.
+// public analysis Result, plus named counters and latency histograms held
+// in registries: Default for the process, one per serving instance.
+// Everything is safe for concurrent use.
 package obs
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,40 +130,71 @@ func MemAllocated() uint64 {
 	return ms.TotalAlloc
 }
 
-// counters is the process-wide named counter registry.
-var counters sync.Map // string -> *int64
+// Registry owns one set of named counters and histograms. Default holds
+// the process-wide series; each serve.Server and shard.Router builds its
+// own with NewRegistry, so its /metrics and /v1/stats count only its own
+// events.
+type Registry struct {
+	counters sync.Map // string -> *int64
+
+	histMu sync.Mutex
+	hists  map[string]*Histogram
+}
+
+// Default is the process-wide registry behind the package-level functions,
+// seeded with every catalog entry not marked Instance.
+var Default = newRegistry(false)
+
+// NewRegistry returns an instance registry seeded at zero with every
+// catalog entry marked Instance.
+func NewRegistry() *Registry { return newRegistry(true) }
+
+func newRegistry(instance bool) *Registry {
+	r := &Registry{hists: map[string]*Histogram{}}
+	for _, d := range Catalog {
+		if d.Instance != instance {
+			continue
+		}
+		switch d.Kind {
+		case KindCounter:
+			r.Add(d.Name, 0)
+		case KindHistogram:
+			r.GetHistogram(d.Name, d.Buckets)
+		}
+	}
+	return r
+}
 
 // Add increments the named counter by delta.
-func Add(name string, delta int64) {
-	v, ok := counters.Load(name)
+func (r *Registry) Add(name string, delta int64) {
+	v, ok := r.counters.Load(name)
 	if !ok {
-		v, _ = counters.LoadOrStore(name, new(int64))
+		v, _ = r.counters.LoadOrStore(name, new(int64))
 	}
 	atomic.AddInt64(v.(*int64), delta)
 }
 
-// Counters snapshots every counter, sorted by name.
-func Counters() map[string]int64 {
+// Counter reads the named counter (0 when it was never added to).
+func (r *Registry) Counter(name string) int64 {
+	v, ok := r.counters.Load(name)
+	if !ok {
+		return 0
+	}
+	return atomic.LoadInt64(v.(*int64))
+}
+
+// Counters snapshots every counter.
+func (r *Registry) Counters() map[string]int64 {
 	out := map[string]int64{}
-	counters.Range(func(k, v interface{}) bool {
+	r.counters.Range(func(k, v interface{}) bool {
 		out[k.(string)] = atomic.LoadInt64(v.(*int64))
 		return true
 	})
 	return out
 }
 
-// CountersString renders the counter snapshot one "name value" per line,
-// sorted by name.
-func CountersString() string {
-	snap := Counters()
-	names := make([]string, 0, len(snap))
-	for n := range snap {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s %d\n", n, snap[n])
-	}
-	return b.String()
-}
+// Add increments the named process-wide counter by delta.
+func Add(name string, delta int64) { Default.Add(name, delta) }
+
+// Counters snapshots every process-wide counter.
+func Counters() map[string]int64 { return Default.Counters() }

@@ -50,9 +50,6 @@ func TestCountersConcurrent(t *testing.T) {
 	if got := Counters()[name] - base; got != 800 {
 		t.Fatalf("counter delta %d, want 800", got)
 	}
-	if !strings.Contains(CountersString(), name) {
-		t.Fatal("CountersString missing counter")
-	}
 }
 
 func TestFormatBytes(t *testing.T) {
@@ -65,6 +62,32 @@ func TestFormatBytes(t *testing.T) {
 	for in, want := range cases {
 		if got := formatBytes(in); got != want {
 			t.Fatalf("formatBytes(%d) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestRegistriesAreIndependent: instance registries share nothing with
+// each other or with Default, and the catalog's Instance column decides
+// which of them seeds each name.
+func TestRegistriesAreIndependent(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Add("serve.classify.requests", 3)
+	if got := a.Counter("serve.classify.requests"); got != 3 {
+		t.Fatalf("a reads %d, want 3", got)
+	}
+	if got := b.Counter("serve.classify.requests"); got != 0 {
+		t.Fatalf("b reads %d of a's requests", got)
+	}
+	instance, process := a.Counters(), Counters()
+	for _, d := range Catalog {
+		if d.Kind != KindCounter {
+			continue
+		}
+		_, inInstance := instance[d.Name]
+		_, inDefault := process[d.Name]
+		if inInstance != d.Instance || inDefault == d.Instance {
+			t.Errorf("%s (Instance %v): seeded in instance registry %v, in Default %v",
+				d.Name, d.Instance, inInstance, inDefault)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/forecast"
-	"repro/internal/obs"
 )
 
 // maxForecastHorizon caps /v1/forecast and /v1/plan horizons at two
@@ -137,7 +136,7 @@ func (c *forecastCache) purge() {
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	startAt := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a forecast request")
+		WriteError(w, http.StatusMethodNotAllowed, "POST a forecast request")
 		return
 	}
 	var req ForecastRequest
@@ -146,15 +145,14 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		WriteBodyError(w, err)
 		return
 	}
-	s.forecastReqs.Add(1)
-	obs.Add("serve.forecast.requests", 1)
+	s.reg.Add("serve.forecast.requests", 1)
 
 	// Load the snapshot once: revision echo, cache key and model reads
 	// must agree even if a swap lands mid-request.
 	snap := s.snap.Load()
 	set := snap.Forecasts
 	if set == nil {
-		writeError(w, http.StatusServiceUnavailable, "served snapshot carries no forecast models")
+		WriteError(w, http.StatusServiceUnavailable, "served snapshot carries no forecast models")
 		return
 	}
 	horizon := req.Horizon
@@ -162,11 +160,11 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		horizon = defaultForecastHorizon
 	}
 	if horizon < 1 || horizon > maxForecastHorizon {
-		writeError(w, http.StatusBadRequest, "horizon %d outside [1, %d]", horizon, maxForecastHorizon)
+		WriteError(w, http.StatusBadRequest, "horizon %d outside [1, %d]", horizon, maxForecastHorizon)
 		return
 	}
 	if (req.Cluster == nil) == (req.Antenna == nil) {
-		writeError(w, http.StatusBadRequest, "exactly one of cluster or antenna must be set")
+		WriteError(w, http.StatusBadRequest, "exactly one of cluster or antenna must be set")
 		return
 	}
 
@@ -178,20 +176,18 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	}
 	if resp, ok := s.fcCache.get(key); ok {
 		resp.Cached = true
-		s.forecastCacheHits.Add(1)
-		obs.Add("serve.forecast.cache.hits", 1)
-		obs.ObserveMS("serve.forecast.latency.ms", msSince(startAt))
-		writeJSON(w, http.StatusOK, resp)
+		s.reg.Add("serve.forecast.cache.hits", 1)
+		s.reg.ObserveMS("serve.forecast.latency.ms", msSince(startAt))
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
-	s.forecastCacheMisses.Add(1)
-	obs.Add("serve.forecast.cache.misses", 1)
+	s.reg.Add("serve.forecast.cache.misses", 1)
 
 	resp := ForecastResponse{ModelRevision: snap.Revision, Horizon: horizon}
 	if req.Cluster != nil {
 		cm := set.Cluster(*req.Cluster)
 		if cm == nil {
-			writeError(w, http.StatusBadRequest, "cluster %d outside [0, %d)", *req.Cluster, set.K())
+			WriteError(w, http.StatusBadRequest, "cluster %d outside [0, %d)", *req.Cluster, set.K())
 			return
 		}
 		resp.Cluster = cm.Cluster
@@ -202,7 +198,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	} else {
 		am := set.Antenna(*req.Antenna)
 		if am == nil {
-			writeError(w, http.StatusNotFound, "antenna %d was not sampled by the forecast stage", *req.Antenna)
+			WriteError(w, http.StatusNotFound, "antenna %d was not sampled by the forecast stage", *req.Antenna)
 			return
 		}
 		id := am.Antenna
@@ -213,8 +209,8 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		resp.Forecast = am.Model.Forecast(horizon)
 	}
 	s.fcCache.put(key, resp)
-	obs.ObserveMS("serve.forecast.latency.ms", msSince(startAt))
-	writeJSON(w, http.StatusOK, resp)
+	s.reg.ObserveMS("serve.forecast.latency.ms", msSince(startAt))
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // PlanRequest is the /v1/plan body: a what-if scenario scored against the
@@ -240,7 +236,7 @@ type PlanResponse struct {
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	startAt := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a plan request")
+		WriteError(w, http.StatusMethodNotAllowed, "POST a plan request")
 		return
 	}
 	var req PlanRequest
@@ -249,13 +245,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		WriteBodyError(w, err)
 		return
 	}
-	s.planReqs.Add(1)
-	obs.Add("serve.plan.requests", 1)
+	s.reg.Add("serve.plan.requests", 1)
 
 	snap := s.snap.Load()
 	set := snap.Forecasts
 	if set == nil {
-		writeError(w, http.StatusServiceUnavailable, "served snapshot carries no forecast models")
+		WriteError(w, http.StatusServiceUnavailable, "served snapshot carries no forecast models")
 		return
 	}
 	horizon := req.Horizon
@@ -263,14 +258,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		horizon = defaultForecastHorizon
 	}
 	if horizon < 1 || horizon > maxForecastHorizon {
-		writeError(w, http.StatusBadRequest, "horizon %d outside [1, %d]", horizon, maxForecastHorizon)
+		WriteError(w, http.StatusBadRequest, "horizon %d outside [1, %d]", horizon, maxForecastHorizon)
 		return
 	}
 	plan, err := set.Plan(req.Actions, horizon)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	obs.ObserveMS("serve.plan.latency.ms", msSince(startAt))
-	writeJSON(w, http.StatusOK, PlanResponse{ModelRevision: snap.Revision, Plan: plan})
+	s.reg.ObserveMS("serve.plan.latency.ms", msSince(startAt))
+	WriteJSON(w, http.StatusOK, PlanResponse{ModelRevision: snap.Revision, Plan: plan})
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/mat"
-	"repro/internal/obs"
 	"repro/internal/pipe"
 	"repro/internal/rca"
 )
@@ -58,7 +57,9 @@ func (c RefreshConfig) withDefaults() RefreshConfig {
 }
 
 // RefreshInfo is the point-in-time refresh telemetry served under
-// /v1/model.
+// /v1/model. Runs, Skipped, Escalations and Errors are read from the
+// server's registry (the serve.refresh.* counters); the rest is kept by
+// the refresher.
 type RefreshInfo struct {
 	Runs           int64   `json:"runs"`
 	Swaps          int64   `json:"swaps"`
@@ -81,7 +82,7 @@ type RefreshOutcome struct {
 	Swapped bool
 	Skipped bool
 	// Stats carries the warm pipeline's drift accounting.
-	Stats analysis.RefreshStats
+	Stats    analysis.RefreshStats
 	Duration time.Duration
 }
 
@@ -108,7 +109,9 @@ type Refresher struct {
 	// refreshMu serializes refresh runs (tick loop + manual RefreshOnce).
 	refreshMu sync.Mutex
 
-	// mu guards the revision registry and telemetry.
+	// mu guards the revision registry and the telemetry no counter
+	// carries. The serve.refresh.* counters are bumped under it too, so
+	// Info reads one consistent refresh.
 	mu      sync.Mutex
 	cur     *analysis.Result
 	history map[uint64]*analysis.Result
@@ -187,7 +190,13 @@ func (r *Refresher) ResultFor(revision uint64) (*analysis.Result, bool) {
 func (r *Refresher) Info() RefreshInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.info
+	info := r.info
+	reg := r.srv.reg
+	info.Runs = reg.Counter("serve.refresh.runs")
+	info.Skipped = reg.Counter("serve.refresh.skipped")
+	info.Escalations = reg.Counter("serve.refresh.escalations")
+	info.Errors = reg.Counter("serve.refresh.errors")
+	return info
 }
 
 // Start launches the tick loop. Safe to call once; Stop tears it down.
@@ -261,9 +270,8 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	traffic, dirty := r.acc.Materialize()
 	if len(dirty) == 0 {
 		r.mu.Lock()
-		r.info.Skipped++
+		r.srv.reg.Add("serve.refresh.skipped", 1)
 		r.mu.Unlock()
-		obs.Add("serve.refresh.skipped", 1)
 		out.Skipped = true
 		out.Duration = time.Since(start)
 		return out, nil
@@ -307,14 +315,16 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	out.Swapped = swapped
 	out.Duration = time.Since(start)
 
+	reg := r.srv.reg
 	r.mu.Lock()
 	r.cur = wres
-	r.info.Runs++
+	reg.Add("serve.refresh.runs", 1)
+	reg.Add("serve.refresh.reassigned", int64(st.Reassigned))
 	if swapped {
 		r.info.Swaps++
 	}
 	if st.Escalated {
-		r.info.Escalations++
+		reg.Add("serve.refresh.escalations", 1)
 	}
 	r.info.LastDrift = st.Drift
 	r.info.LastReassigned = st.Reassigned
@@ -322,21 +332,15 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	r.info.LastRevision = snap.Revision
 	r.mu.Unlock()
 
-	obs.Add("serve.refresh.runs", 1)
-	obs.Add("serve.refresh.reassigned", int64(st.Reassigned))
-	if st.Escalated {
-		obs.Add("serve.refresh.escalations", 1)
-	}
-	obs.ObserveMS("serve.refresh.latency.ms", msSince(start))
+	reg.ObserveMS("serve.refresh.latency.ms", msSince(start))
 	return out, nil
 }
 
 // fail counts a refresh error in telemetry and passes it through.
 func (r *Refresher) fail(err error) error {
 	r.mu.Lock()
-	r.info.Errors++
+	r.srv.reg.Add("serve.refresh.errors", 1)
 	r.mu.Unlock()
-	obs.Add("serve.refresh.errors", 1)
 	return err
 }
 

@@ -173,19 +173,9 @@ type Server struct {
 	stopOnce  sync.Once
 	draining  atomic.Bool
 
-	ingestBatches   atomic.Int64
-	ingestRecords   atomic.Int64
-	ingestRejected  atomic.Int64
-	ingestMalformed atomic.Int64
-	classifyReqs    atomic.Int64
-	classifiedVecs  atomic.Int64
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
-
-	forecastReqs        atomic.Int64
-	forecastCacheHits   atomic.Int64
-	forecastCacheMisses atomic.Int64
-	planReqs            atomic.Int64
+	// reg holds every series this server and its refresher emit; Stats
+	// and /metrics read it.
+	reg *obs.Registry
 }
 
 // New builds a server around a model snapshot. The sink may be shared with
@@ -209,6 +199,7 @@ func New(snap *ModelSnapshot, sink *collect.Sink, cfg Config) (*Server, error) {
 		cache:   newLRUCache(cfg.CacheSize),
 		fcCache: newForecastCache(cfg.ForecastCacheSize),
 		queue:   make(chan []probe.Record, cfg.QueueDepth),
+		reg:     obs.NewRegistry(),
 	}
 	s.snap.Store(snap)
 	s.mux = http.NewServeMux()
@@ -253,7 +244,7 @@ func (s *Server) SwapSnapshot(next *ModelSnapshot) error {
 	s.snap.Store(next)
 	s.cache.purge()
 	s.fcCache.purge()
-	obs.Add("serve.model.swaps", 1)
+	s.reg.Add("serve.model.swaps", 1)
 	return nil
 }
 
@@ -312,7 +303,7 @@ func (s *Server) drainQueue() {
 	for batch := range s.queue {
 		_ = s.cfg.Faults.Wait(context.Background(), fault.Fold)
 		s.sink.AddBatch(batch)
-		obs.Add("serve.ingest.folded", int64(len(batch)))
+		s.reg.Add("serve.ingest.folded", int64(len(batch)))
 	}
 }
 
@@ -327,7 +318,8 @@ func (s *Server) withDeadline(h func(http.ResponseWriter, *http.Request)) http.H
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v encoded as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -338,8 +330,9 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
+// WriteError answers with status and a {"error": ...} JSON body.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
 // ReadBody reads a request body bounded by limit into one buffer, sized
@@ -361,10 +354,57 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 func WriteBodyError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
+		WriteError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
 		return
 	}
-	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+}
+
+// WriteRetryLater answers 429 with a Retry-After hint of after, in whole
+// seconds and at least 1.
+func WriteRetryLater(w http.ResponseWriter, after time.Duration, msg string) {
+	w.Header().Set("Retry-After", strconv.Itoa(max(1, int(after/time.Second))))
+	WriteError(w, http.StatusTooManyRequests, "%s", msg)
+}
+
+// ErrMalformedStream marks a body ReadProbeBatch rejected because it is
+// not a probe stream; each caller counts these under its own metric.
+var ErrMalformedStream = errors.New("malformed probe stream")
+
+// ReadProbeBatch reads one probe-wire-format batch of at most maxRecords
+// records from a body bounded by maxBytes. When the body cannot become a
+// batch it answers the request itself (413 past either bound, 400 for a
+// malformed stream or an empty batch) and returns the reason; a malformed
+// stream's error wraps ErrMalformedStream. Both the server's and the shard
+// router's /v1/ingest read through it.
+func ReadProbeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64, maxRecords int) ([]probe.Record, error) {
+	reject := func(status int, err error) ([]probe.Record, error) {
+		WriteError(w, status, "%v", err)
+		return nil, err
+	}
+	reader := probe.NewReader(http.MaxBytesReader(w, r.Body, maxBytes))
+	var batch []probe.Record
+	for {
+		rec, err := reader.Read()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return reject(http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", tooLarge.Limit))
+		}
+		if err != nil {
+			return reject(http.StatusBadRequest, fmt.Errorf("%w: %w", ErrMalformedStream, err))
+		}
+		batch = append(batch, rec)
+		if len(batch) > maxRecords {
+			return reject(http.StatusRequestEntityTooLarge, fmt.Errorf("batch exceeds %d records", maxRecords))
+		}
+	}
+	if len(batch) == 0 {
+		return reject(http.StatusBadRequest, errors.New("empty batch"))
+	}
+	return batch, nil
 }
 
 // handleIngest accepts one probe-wire-format batch, acks it with 202 once
@@ -373,65 +413,37 @@ func WriteBodyError(w http.ResponseWriter, err error) {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	startAt := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a probe stream")
+		WriteError(w, http.StatusMethodNotAllowed, "POST a probe stream")
 		return
 	}
 	s.sink.NoteConnection()
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	reader := probe.NewReader(body)
-	var batch []probe.Record
-	for {
-		rec, err := reader.Read()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					"body exceeds %d bytes", tooLarge.Limit)
-				return
-			}
-			s.ingestMalformed.Add(1)
+	batch, err := ReadProbeBatch(w, r, s.cfg.MaxBodyBytes, s.cfg.MaxIngestRecords)
+	if err != nil {
+		if errors.Is(err, ErrMalformedStream) {
 			s.sink.NoteMalformed()
-			obs.Add("serve.ingest.malformed", 1)
-			writeError(w, http.StatusBadRequest, "malformed probe stream: %v", err)
-			return
+			s.reg.Add("serve.ingest.malformed", 1)
 		}
-		batch = append(batch, rec)
-		if len(batch) > s.cfg.MaxIngestRecords {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch exceeds %d records", s.cfg.MaxIngestRecords)
-			return
-		}
-	}
-	if len(batch) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	// Injected ingest latency lands before the ack: a spike can time the
 	// request out (503) but can never lose an acked batch.
 	if err := s.cfg.Faults.Wait(r.Context(), fault.Ingest); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
+		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
 		return
 	}
 	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	select {
 	case s.queue <- batch:
-		s.ingestBatches.Add(1)
-		s.ingestRecords.Add(int64(len(batch)))
-		obs.Add("serve.ingest.batches", 1)
-		obs.Add("serve.ingest.records", int64(len(batch)))
-		obs.ObserveMS("serve.ingest.latency.ms", msSince(startAt))
-		writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch)})
+		s.reg.Add("serve.ingest.batches", 1)
+		s.reg.Add("serve.ingest.records", int64(len(batch)))
+		s.reg.ObserveMS("serve.ingest.latency.ms", msSince(startAt))
+		WriteJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch)})
 	default:
-		s.ingestRejected.Add(1)
-		obs.Add("serve.ingest.rejected", 1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, "ingest queue full, retry later")
+		s.reg.Add("serve.ingest.rejected", 1)
+		WriteRetryLater(w, s.cfg.RetryAfter, "ingest queue full, retry later")
 	}
 }
 
@@ -473,7 +485,7 @@ type AntennaVerdict struct {
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	startAt := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a classify request")
+		WriteError(w, http.StatusMethodNotAllowed, "POST a classify request")
 		return
 	}
 	body, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
@@ -487,23 +499,22 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Antennas) == 0 {
-		writeError(w, http.StatusBadRequest, "no antennas in request")
+		WriteError(w, http.StatusBadRequest, "no antennas in request")
 		return
 	}
 	if len(req.Antennas) > s.cfg.MaxClassifyAntennas {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		WriteError(w, http.StatusRequestEntityTooLarge,
 			"%d antennas exceeds the %d per-request cap", len(req.Antennas), s.cfg.MaxClassifyAntennas)
 		return
 	}
-	s.classifyReqs.Add(1)
-	obs.Add("serve.classify.requests", 1)
+	s.reg.Add("serve.classify.requests", 1)
 
 	// Load the snapshot once: every read below (revision echo, cache keys,
 	// classification) must see the same model even if a swap lands
 	// mid-request.
 	snap := s.snap.Load()
 	if err := s.cfg.Faults.Wait(r.Context(), fault.Classify); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
+		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
 		return
 	}
 
@@ -526,26 +537,24 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		// Checked here, not left to Classify, so the error names the
 		// request index and id rather than a position among the misses.
 		if len(a.Traffic) != snap.Services {
-			writeError(w, http.StatusBadRequest, "antenna %d (id %d) has %d services, model expects %d",
+			WriteError(w, http.StatusBadRequest, "antenna %d (id %d) has %d services, model expects %d",
 				i, a.ID, len(a.Traffic), snap.Services)
 			return
 		}
 		missIdx = append(missIdx, i)
 		missRows = append(missRows, a.Traffic)
 	}
-	s.cacheHits.Add(int64(resp.CacheHits))
-	s.cacheMisses.Add(int64(len(missIdx)))
-	obs.Add("serve.classify.cache.hits", int64(resp.CacheHits))
-	obs.Add("serve.classify.cache.misses", int64(len(missIdx)))
+	s.reg.Add("serve.classify.cache.hits", int64(resp.CacheHits))
+	s.reg.Add("serve.classify.cache.misses", int64(len(missIdx)))
 
 	if len(missIdx) > 0 {
 		clusters, err := snap.Classify(r.Context(), missRows)
 		if err != nil {
 			if r.Context().Err() != nil {
-				writeError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", r.Context().Err())
+				WriteError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", r.Context().Err())
 				return
 			}
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		for mi, i := range missIdx {
@@ -556,38 +565,38 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	s.classifiedVecs.Add(int64(len(req.Antennas)))
-	obs.Add("serve.classify.antennas", int64(len(req.Antennas)))
-	obs.ObserveMS("serve.classify.latency.ms", msSince(startAt))
-	writeJSON(w, http.StatusOK, resp)
+	s.reg.Add("serve.classify.antennas", int64(len(req.Antennas)))
+	s.reg.ObserveMS("serve.classify.latency.ms", msSince(startAt))
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleStats reports the server's activity snapshot.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
-// Stats snapshots the serving statistics backing /v1/stats.
+// Stats snapshots the serving statistics backing /v1/stats. Every count
+// is read from the server's registry, so it agrees with /metrics.
 func (s *Server) Stats() Stats {
 	return Stats{
 		ModelRevision:     s.snap.Load().Revision,
-		IngestBatches:     s.ingestBatches.Load(),
-		IngestRecords:     s.ingestRecords.Load(),
-		IngestRejected:    s.ingestRejected.Load(),
-		IngestMalformed:   s.ingestMalformed.Load(),
+		IngestBatches:     s.reg.Counter("serve.ingest.batches"),
+		IngestRecords:     s.reg.Counter("serve.ingest.records"),
+		IngestRejected:    s.reg.Counter("serve.ingest.rejected"),
+		IngestMalformed:   s.reg.Counter("serve.ingest.malformed"),
 		QueueDepth:        len(s.queue),
 		QueueCapacity:     cap(s.queue),
-		ClassifyRequests:  s.classifyReqs.Load(),
-		ClassifiedVectors: s.classifiedVecs.Load(),
-		CacheHits:         s.cacheHits.Load(),
-		CacheMisses:       s.cacheMisses.Load(),
+		ClassifyRequests:  s.reg.Counter("serve.classify.requests"),
+		ClassifiedVectors: s.reg.Counter("serve.classify.antennas"),
+		CacheHits:         s.reg.Counter("serve.classify.cache.hits"),
+		CacheMisses:       s.reg.Counter("serve.classify.cache.misses"),
 		CacheEntries:      s.cache.len(),
 
-		ForecastRequests:     s.forecastReqs.Load(),
-		ForecastCacheHits:    s.forecastCacheHits.Load(),
-		ForecastCacheMisses:  s.forecastCacheMisses.Load(),
+		ForecastRequests:     s.reg.Counter("serve.forecast.requests"),
+		ForecastCacheHits:    s.reg.Counter("serve.forecast.cache.hits"),
+		ForecastCacheMisses:  s.reg.Counter("serve.forecast.cache.misses"),
 		ForecastCacheEntries: s.fcCache.len(),
-		PlanRequests:         s.planReqs.Load(),
+		PlanRequests:         s.reg.Counter("serve.plan.requests"),
 
 		Aggregate: s.sink.Snapshot(),
 	}
@@ -607,28 +616,28 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if ref := s.refresh.Load(); ref != nil {
 		payload["refresh"] = ref.Info()
 	}
-	writeJSON(w, http.StatusOK, payload)
+	WriteJSON(w, http.StatusOK, payload)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleMetrics renders the obs counters and latency histograms in the
-// Prometheus text exposition format.
+// handleMetrics renders the server's own series, then the process-wide
+// ones, in the Prometheus text exposition format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	WriteMetrics(w, s.reg)
+}
+
+// WriteMetrics answers a /metrics scrape with an instance registry's
+// series followed by obs.Default's process-wide ones. The catalog's
+// Instance column keeps the two sets disjoint, so each name appears once.
+func WriteMetrics(w http.ResponseWriter, reg *obs.Registry) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write([]byte(obs.MetricsText()))
+	_, _ = io.WriteString(w, reg.MetricsText())
+	_, _ = io.WriteString(w, obs.MetricsText())
 }
 
 func msSince(t time.Time) float64 {
 	return float64(time.Since(t).Microseconds()) / 1000
-}
-
-func retryAfterSeconds(d time.Duration) int {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +19,6 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/forest"
 	"repro/internal/mat"
-	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/rca"
 	"repro/internal/synth"
@@ -671,16 +672,44 @@ func TestStatsHealthzMetricsModel(t *testing.T) {
 	}
 }
 
-// TestStatsAgreeWithMetrics pins the contract between the two counts the
-// server keeps of each event — its own Stats and the obs counters behind
-// /metrics: one fixed sequence touches every counted event, and each
-// Stats field must equal the delta of its obs counter.
+// scrapeMetrics renders h's /metrics exposition.
+func scrapeMetrics(t *testing.T, h http.Handler) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", rec.Code)
+	}
+	return rec.Body.String()
+}
+
+// counterSample reads one counter from a /metrics exposition by its
+// catalog name ("serve.ingest.batches" is exported as
+// icn_serve_ingest_batches).
+func counterSample(t *testing.T, text, name string) int64 {
+	t.Helper()
+	prefix := "icn_" + strings.ReplaceAll(name, ".", "_") + " "
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics has no %s sample", name)
+	return 0
+}
+
+// TestStatsAgreeWithMetrics pins the contract between Stats and the
+// server's /metrics: one fixed sequence touches every counted event, and
+// each Stats field must equal the counter that /metrics exports for it.
 func TestStatsAgreeWithMetrics(t *testing.T) {
 	slowFolds := fault.New(1, map[fault.Site]fault.Rule{
 		fault.Fold: {DelayProb: 1, Delay: 100 * time.Millisecond},
 	})
 	s := startServer(t, forecastSnapshot(t), Config{QueueDepth: 1, IngestWorkers: 1, Faults: slowFolds})
-	before := obs.Counters()
 
 	ingest := func(body []byte) int {
 		resp, err := http.Post(baseURL(s)+"/v1/ingest", "application/octet-stream", bytes.NewReader(body))
@@ -719,7 +748,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after := obs.Counters()
+	text := scrapeMetrics(t, s.Handler())
 	st := s.Stats()
 	for _, c := range []struct {
 		metric string
@@ -743,8 +772,8 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		if c.stat == 0 {
 			t.Errorf("the sequence never counted %s", c.metric)
 		}
-		if d := after[c.metric] - before[c.metric]; d != c.stat {
-			t.Errorf("%s grew by %d, Stats counts %d", c.metric, d, c.stat)
+		if got := counterSample(t, text, c.metric); got != c.stat {
+			t.Errorf("/metrics reads %s = %d, Stats counts %d", c.metric, got, c.stat)
 		}
 	}
 }

@@ -3,14 +3,12 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,7 +17,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/pipe"
-	"repro/internal/probe"
 	"repro/internal/serve"
 )
 
@@ -128,12 +125,9 @@ type Router struct {
 	draining  atomic.Bool
 	rr        atomic.Uint64
 
-	ackedBatches atomic.Int64
-	ackedRecords atomic.Int64
-	rejected     atomic.Int64
-	malformed    atomic.Int64
-	proxied      atomic.Int64
-	failovers    atomic.Int64
+	// reg holds every series the router and its Sinks emit; Stats and
+	// /metrics read it. Each replica keeps its own.
+	reg *obs.Registry
 	// lastFanoutMS holds float64 bits of the most recent fan-out lag.
 	lastFanoutMS atomic.Uint64
 }
@@ -153,7 +147,8 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 	if err != nil {
 		return nil, err
 	}
-	sinks, err := NewSinks(ring, cfg.QueueDepth, cfg.Faults)
+	reg := obs.NewRegistry()
+	sinks, err := NewSinks(ring, cfg.QueueDepth, cfg.Faults, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -162,6 +157,7 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 		ring:   ring,
 		sinks:  sinks,
 		client: &http.Client{},
+		reg:    reg,
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		srv, err := serve.New(snap, nil, serve.Config{
@@ -216,10 +212,10 @@ func (rt *Router) fanOut(snap *serve.ModelSnapshot, res *analysis.Result) {
 		if err := rep.srv.SwapSnapshot(snap); err != nil {
 			continue
 		}
-		obs.Add("shard.fanout.swaps", 1)
+		rt.reg.Add("shard.fanout.swaps", 1)
 	}
 	lag := msSince(start)
-	obs.GetHistogram("shard.fanout.lag.ms", nil).Observe(lag)
+	rt.reg.ObserveMS("shard.fanout.lag.ms", lag)
 	rt.lastFanoutMS.Store(math.Float64bits(lag))
 }
 
@@ -319,7 +315,7 @@ func (rt *Router) KillReplica(ctx context.Context, i int) error {
 		return fmt.Errorf("shard: cannot kill the last live replica %d", i)
 	}
 	rep.alive.Store(false)
-	obs.Add("shard.replica.kills", 1)
+	rt.reg.Add("shard.replica.kills", 1)
 	return rep.srv.Shutdown(ctx)
 }
 
@@ -359,6 +355,11 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// Metrics returns the registry holding the router's own series (ingest,
+// proxy, fan-out and kill counters): what its /metrics renders ahead of the
+// process-wide ones, and what Stats reads.
+func (rt *Router) Metrics() *obs.Registry { return rt.reg }
+
 // Sinks exposes the sharded aggregation tier (parity and durability
 // checks read folded/pending counts through it).
 func (rt *Router) Sinks() *Sinks { return rt.sinks }
@@ -379,65 +380,37 @@ func (rt *Router) withDeadline(h func(http.ResponseWriter, *http.Request)) http.
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	startAt := time.Now()
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST a probe stream")
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST a probe stream")
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-	reader := probe.NewReader(body)
-	var batch []probe.Record
-	for {
-		rec, err := reader.Read()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					"body exceeds %d bytes", tooLarge.Limit)
-				return
-			}
-			rt.malformed.Add(1)
-			obs.Add("shard.ingest.malformed", 1)
-			writeError(w, http.StatusBadRequest, "malformed probe stream: %v", err)
-			return
+	batch, err := serve.ReadProbeBatch(w, r, rt.cfg.MaxBodyBytes, rt.cfg.MaxIngestRecords)
+	if err != nil {
+		if errors.Is(err, serve.ErrMalformedStream) {
+			rt.reg.Add("shard.ingest.malformed", 1)
 		}
-		batch = append(batch, rec)
-		if len(batch) > rt.cfg.MaxIngestRecords {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"batch exceeds %d records", rt.cfg.MaxIngestRecords)
-			return
-		}
-	}
-	if len(batch) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	// Injected ingest latency lands before the ack, mirroring the
 	// single-node server: a spike can 503 a request but never lose an
 	// acked batch.
 	if err := rt.cfg.Faults.Wait(r.Context(), fault.Ingest); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
+		serve.WriteError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
 		return
 	}
 	if rt.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "router is shutting down")
+		serve.WriteError(w, http.StatusServiceUnavailable, "router is shutting down")
 		return
 	}
 	subs := rt.sinks.Partition(batch)
 	if !rt.sinks.Offer(subs) {
-		rt.rejected.Add(1)
-		obs.Add("shard.ingest.rejected", 1)
-		w.Header().Set("Retry-After", strconv.Itoa(retrySeconds(rt.cfg.RetryAfter)))
-		writeError(w, http.StatusTooManyRequests, "a target shard queue is full or gone, retry")
+		rt.reg.Add("shard.ingest.rejected", 1)
+		serve.WriteRetryLater(w, rt.cfg.RetryAfter, "a target shard queue is full or gone, retry")
 		return
 	}
-	rt.ackedBatches.Add(1)
-	rt.ackedRecords.Add(int64(len(batch)))
-	obs.Add("shard.ingest.batches", 1)
-	obs.Add("shard.ingest.records", int64(len(batch)))
-	obs.GetHistogram("shard.ingest.latency.ms", nil).Observe(msSince(startAt))
-	writeJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch), "shards": len(subs)})
+	rt.reg.Add("shard.ingest.batches", 1)
+	rt.reg.Add("shard.ingest.records", int64(len(batch)))
+	rt.reg.ObserveMS("shard.ingest.latency.ms", msSince(startAt))
+	serve.WriteJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch), "shards": len(subs)})
 }
 
 // forwardPOST returns the handler for a JSON endpoint the replicas serve
@@ -450,7 +423,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) forwardPOST(path string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST a JSON request to %s", path)
+			serve.WriteError(w, http.StatusMethodNotAllowed, "POST a JSON request to %s", path)
 			return
 		}
 		body, err := serve.ReadBody(w, r, rt.cfg.MaxBodyBytes)
@@ -487,7 +460,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, bod
 		}
 		req, err := http.NewRequestWithContext(r.Context(), method, rep.url+path, reqBody)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "proxy request: %v", err)
+			serve.WriteError(w, http.StatusInternalServerError, "proxy request: %v", err)
 			return
 		}
 		if body != nil {
@@ -496,16 +469,14 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, bod
 		resp, err := rt.client.Do(req)
 		if err != nil {
 			lastErr = err
-			rt.failovers.Add(1)
-			obs.Add("shard.router.failovers", 1)
+			rt.reg.Add("shard.router.failovers", 1)
 			continue
 		}
-		rt.proxied.Add(1)
-		obs.Add("shard.router.proxied", 1)
+		rt.reg.Add("shard.router.proxied", 1)
 		copyResponse(w, resp)
 		return
 	}
-	writeError(w, http.StatusServiceUnavailable, "no live replica: %v", lastErr)
+	serve.WriteError(w, http.StatusServiceUnavailable, "no live replica: %v", lastErr)
 }
 
 // copyResponse relays a replica response to the client verbatim.
@@ -557,14 +528,14 @@ type RouterStats struct {
 // Stats snapshots the router's full state.
 func (rt *Router) Stats() RouterStats {
 	st := RouterStats{
-		AckedBatches:      rt.ackedBatches.Load(),
-		AckedRecords:      rt.ackedRecords.Load(),
-		RejectedBatches:   rt.rejected.Load(),
-		MalformedStreams:  rt.malformed.Load(),
+		AckedBatches:      rt.reg.Counter("shard.ingest.batches"),
+		AckedRecords:      rt.reg.Counter("shard.ingest.records"),
+		RejectedBatches:   rt.reg.Counter("shard.ingest.rejected"),
+		MalformedStreams:  rt.reg.Counter("shard.ingest.malformed"),
 		PendingRecords:    rt.sinks.PendingRecords(),
 		FoldedRecords:     rt.sinks.FoldedRecords(),
-		ClassifyProxied:   rt.proxied.Load(),
-		ClassifyFailovers: rt.failovers.Load(),
+		ClassifyProxied:   rt.reg.Counter("shard.router.proxied"),
+		ClassifyFailovers: rt.reg.Counter("shard.router.failovers"),
 		LastFanoutMS:      math.Float64frombits(rt.lastFanoutMS.Load()),
 		Ring: RingStats{
 			Shards:    rt.ring.Shards(),
@@ -589,37 +560,19 @@ func (rt *Router) Stats() RouterStats {
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Stats())
+	serve.WriteJSON(w, http.StatusOK, rt.Stats())
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// handleMetrics renders the router's own series and the process-wide
+// ones; each replica's /metrics renders that replica's.
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_, _ = w.Write([]byte(obs.MetricsText()))
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) // the connection owns delivery; nothing to do on error
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	serve.WriteMetrics(w, rt.reg)
 }
 
 func msSince(t time.Time) float64 {
 	return float64(time.Since(t).Microseconds()) / 1000
-}
-
-func retrySeconds(d time.Duration) int {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/forest"
 	"repro/internal/mat"
+	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/rca"
 	"repro/internal/serve"
@@ -171,7 +172,7 @@ func TestOfferAllOrNothing(t *testing.T) {
 	inj := fault.New(1, map[fault.Site]fault.Rule{
 		fault.ShardFold: {DelayProb: 1, Delay: time.Hour},
 	})
-	s, err := NewSinks(ring, 1, inj)
+	s, err := NewSinks(ring, 1, inj, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestKillShardDrainsAckedBatches(t *testing.T) {
 	inj := fault.New(2, map[fault.Site]fault.Rule{
 		fault.ShardFold: {DelayProb: 1, Delay: 20 * time.Millisecond},
 	})
-	s, err := NewSinks(ring, 64, inj)
+	s, err := NewSinks(ring, 64, inj, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,7 @@ import (
 type Sinks struct {
 	ring   *Ring
 	faults *fault.Injector
+	reg    *obs.Registry
 	depth  int
 	queues []*shardQueue
 }
@@ -49,27 +50,28 @@ type shardQueue struct {
 // NewSinks builds one queue+sink per ring shard and starts the drain
 // workers. depth ≤ 0 selects 64 batches per shard. The injector's
 // fault.ShardFold site throttles or never touches the folds (nil injects
-// nothing).
-func NewSinks(ring *Ring, depth int, faults *fault.Injector) (*Sinks, error) {
-	if ring == nil {
-		return nil, fmt.Errorf("shard: sinks need a ring")
+// nothing). The shard.fold, shard.queue and shard.kills series go to reg,
+// the owning router's registry.
+func NewSinks(ring *Ring, depth int, faults *fault.Injector, reg *obs.Registry) (*Sinks, error) {
+	if ring == nil || reg == nil {
+		return nil, fmt.Errorf("shard: sinks need a ring and a registry")
 	}
 	if depth <= 0 {
 		depth = 64
 	}
-	s := &Sinks{ring: ring, faults: faults, depth: depth}
+	s := &Sinks{ring: ring, faults: faults, reg: reg, depth: depth}
 	for i := 0; i < ring.Shards(); i++ {
 		q := &shardQueue{id: i, sink: collect.NewSink()}
 		q.cond = sync.NewCond(&q.mu)
 		s.queues = append(s.queues, q)
-		q.tasks.Go(func() { q.drain(faults) })
+		q.tasks.Go(func() { q.drain(faults, reg) })
 	}
 	return s, nil
 }
 
 // drain folds queued batches until the queue closes, then folds whatever
 // remains — the worker never exits with acked records unfolded.
-func (q *shardQueue) drain(faults *fault.Injector) {
+func (q *shardQueue) drain(faults *fault.Injector, reg *obs.Registry) {
 	for {
 		q.mu.Lock()
 		for len(q.pending) == 0 && !q.closed {
@@ -93,7 +95,7 @@ func (q *shardQueue) drain(faults *fault.Injector) {
 		q.mu.Lock()
 		q.queued -= len(batch)
 		q.mu.Unlock()
-		obs.Add("shard.fold.records", int64(len(batch)))
+		reg.Add("shard.fold.records", int64(len(batch)))
 	}
 }
 
@@ -162,7 +164,7 @@ func (s *Sinks) Offer(subs map[int][]probe.Record) bool {
 	for i := len(ids) - 1; i >= 0; i-- {
 		s.queues[ids[i]].mu.Unlock()
 	}
-	h := obs.GetHistogram("shard.queue.depth", nil)
+	h := s.reg.GetHistogram("shard.queue.depth", nil)
 	for _, d := range depths {
 		h.Observe(float64(d))
 	}
@@ -188,7 +190,7 @@ func (s *Sinks) Kill(id int) error {
 	q.cond.Broadcast()
 	q.mu.Unlock()
 	q.tasks.Wait()
-	obs.Add("shard.kills", 1)
+	s.reg.Add("shard.kills", 1)
 	return nil
 }
 
