@@ -153,6 +153,32 @@ func (r *Result) Trace() *obs.Trace {
 	return r.trace
 }
 
+// Slim returns a fresh Result holding only what per-revision audits and
+// offline refits read: Config, Dataset, K, Labels, LabelAlignment,
+// SurrogateAccuracy, OutdoorLabels, OutdoorShare, Forecasts and the stage
+// trace. The surrogate forest, RSCA matrix, linkage, selection sweep,
+// contingency table and the lazily built caches are left behind, so a
+// slim copy costs about one traffic matrix plus the forecast set, and
+// RefitForecasts, Trace and the outdoor verdicts still work on it. r is
+// not modified; anyone holding r keeps the full result.
+func (r *Result) Slim() *Result {
+	r.mu.Lock()
+	tr := r.trace
+	r.mu.Unlock()
+	return &Result{
+		Config:            r.Config,
+		Dataset:           r.Dataset,
+		K:                 r.K,
+		Labels:            r.Labels,
+		LabelAlignment:    r.LabelAlignment,
+		SurrogateAccuracy: r.SurrogateAccuracy,
+		OutdoorLabels:     r.OutdoorLabels,
+		OutdoorShare:      r.OutdoorShare,
+		Forecasts:         r.Forecasts,
+		trace:             tr,
+	}
+}
+
 // Distances returns the condensed Euclidean pairwise distance matrix over
 // the RSCA rows, computing it on first use when the result was not built
 // by the staged engine. The matrix is shared: callers must not mutate it.

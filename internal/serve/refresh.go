@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,7 +22,12 @@ type RefreshConfig struct {
 	// analysis.DefaultDriftThreshold).
 	DriftThreshold float64
 	// History bounds the revision → offline-result registry consulted by
-	// parity checks and post-swap audits (default 64 revisions).
+	// parity checks and post-swap audits (default 64 revisions). It is
+	// also the byte bound: only the current revision is a full Result; a
+	// superseded one is kept as Result.Slim (Config, Dataset, K, Labels,
+	// LabelAlignment, SurrogateAccuracy, OutdoorLabels, OutdoorShare,
+	// Forecasts and the stage trace), whose fixed shape costs about one
+	// N × M traffic matrix plus the forecast set per entry.
 	History int
 	// Timeout bounds one refresh run (default 2m).
 	Timeout time.Duration
@@ -59,7 +65,8 @@ func (c RefreshConfig) withDefaults() RefreshConfig {
 // RefreshInfo is the point-in-time refresh telemetry served under
 // /v1/model. Runs, Skipped, Escalations and Errors are read from the
 // server's registry (the serve.refresh.* counters); the rest is kept by
-// the refresher.
+// the refresher. LastStages is the stage trace of the last completed
+// refresh run, in completion order.
 type RefreshInfo struct {
 	Runs           int64   `json:"runs"`
 	Swaps          int64   `json:"swaps"`
@@ -70,6 +77,16 @@ type RefreshInfo struct {
 	LastReassigned int     `json:"last_reassigned"`
 	LastDurationMS float64 `json:"last_duration_ms"`
 	LastRevision   uint64  `json:"last_revision"`
+
+	LastStages []RefreshStage `json:"last_stages,omitempty"`
+}
+
+// RefreshStage is one pipeline stage of a refresh run: its wall time and
+// how long it waited behind its dependencies (obs.StageTrace).
+type RefreshStage struct {
+	Name     string  `json:"name"`
+	WallMS   float64 `json:"wall_ms"`
+	WaitedMS float64 `json:"waited_ms"`
 }
 
 // RefreshOutcome reports one RefreshOnce call.
@@ -96,12 +113,13 @@ type RefreshOutcome struct {
 // contract. Every published revision's offline result is retained in a
 // bounded registry (ResultFor) — registered before the swap — so any
 // served response echoing a revision can be audited against the exact
-// offline result that produced it.
+// offline result that produced it. Only the current revision's entry is
+// the full Result (the next warm refresh starts from its surrogate); a
+// superseded revision's entry is replaced by its Result.Slim copy.
 type Refresher struct {
-	srv  *Server
-	cfg  RefreshConfig
-	base *analysis.Result
-	acc  *rca.Accumulator
+	srv *Server
+	cfg RefreshConfig
+	acc *rca.Accumulator
 	// lastGood re-arms the accumulator's dirty tracking after a failed
 	// refresh, so the aggregates that run saw are retried next tick.
 	lastGood *mat.Dense
@@ -111,7 +129,8 @@ type Refresher struct {
 
 	// mu guards the revision registry and the telemetry no counter
 	// carries. The serve.refresh.* counters are bumped under it too, so
-	// Info reads one consistent refresh.
+	// Info reads one consistent refresh. cur is the full result of
+	// info.LastRevision.
 	mu      sync.Mutex
 	cur     *analysis.Result
 	history map[uint64]*analysis.Result
@@ -147,7 +166,6 @@ func NewRefresher(srv *Server, base *analysis.Result, cfg RefreshConfig) (*Refre
 	r := &Refresher{
 		srv:      srv,
 		cfg:      cfg,
-		base:     base,
 		acc:      acc,
 		lastGood: mat.NewDense(base.Dataset.Traffic.Rows(), base.Dataset.Traffic.Cols()),
 		cur:      base,
@@ -178,7 +196,12 @@ func (r *Refresher) register(revision uint64, res *analysis.Result) {
 }
 
 // ResultFor returns the offline pipeline result that produced the given
-// snapshot revision, if it is still within the history bound.
+// snapshot revision, if it is still within the history bound. The current
+// revision resolves to its full Result. A superseded revision resolves to
+// its Result.Slim copy: Config, Dataset, K, Labels, LabelAlignment,
+// SurrogateAccuracy, OutdoorLabels, OutdoorShare, Forecasts and the stage
+// trace are set, so verdict audits, RefitForecasts and Trace work, but
+// Surrogate and RSCA are nil and NewModelSnapshot rejects it.
 func (r *Refresher) ResultFor(revision uint64) (*analysis.Result, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -191,6 +214,7 @@ func (r *Refresher) Info() RefreshInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	info := r.info
+	info.LastStages = slices.Clone(r.info.LastStages)
 	reg := r.srv.reg
 	info.Runs = reg.Counter("serve.refresh.runs")
 	info.Skipped = reg.Counter("serve.refresh.skipped")
@@ -294,6 +318,10 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 		return out, r.fail(err)
 	}
 
+	// Read the trace while wres is still private: Trace initializes it
+	// lazily, and a published result is frozen.
+	stages := refreshStages(wres)
+
 	// Register the revision's offline result *before* publishing the
 	// snapshot: a response served the instant after the swap must already
 	// be resolvable through ResultFor.
@@ -314,9 +342,15 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	out.Revision = snap.Revision
 	out.Swapped = swapped
 	out.Duration = time.Since(start)
+	slim := prev.Slim()
 
 	reg := r.srv.reg
 	r.mu.Lock()
+	// prev is superseded: its audit fields stay resolvable, but its
+	// forest, RSCA and caches are no longer pinned by the registry.
+	if prevRev := r.info.LastRevision; prevRev != snap.Revision && r.history[prevRev] == prev {
+		r.history[prevRev] = slim
+	}
 	r.cur = wres
 	reg.Add("serve.refresh.runs", 1)
 	reg.Add("serve.refresh.reassigned", int64(st.Reassigned))
@@ -330,10 +364,25 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	r.info.LastReassigned = st.Reassigned
 	r.info.LastDurationMS = msSince(start)
 	r.info.LastRevision = snap.Revision
+	r.info.LastStages = stages
 	r.mu.Unlock()
 
 	reg.ObserveMS("serve.refresh.latency.ms", msSince(start))
 	return out, nil
+}
+
+// refreshStages converts a refresh result's stage trace for RefreshInfo.
+func refreshStages(res *analysis.Result) []RefreshStage {
+	trace := res.Trace().Stages()
+	out := make([]RefreshStage, len(trace))
+	for i, st := range trace {
+		out[i] = RefreshStage{
+			Name:     st.Name,
+			WallMS:   float64(st.Wall) / float64(time.Millisecond),
+			WaitedMS: float64(st.Waited) / float64(time.Millisecond),
+		}
+	}
+	return out
 }
 
 // fail counts a refresh error in telemetry and passes it through.

@@ -5,13 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
+	"repro/internal/synth"
 )
 
 // TestWarmRefreshRevisionParity is the serve side of the drift-0 parity
@@ -181,6 +185,195 @@ func TestRefresherAdvancesRevisionAndServesParity(t *testing.T) {
 	if model.Revision != out.Revision || model.Refresh.Runs != 1 || model.Refresh.Swaps != 1 {
 		t.Fatalf("/v1/model refresh telemetry: %s", mbody)
 	}
+	// ...including the stage trace of the refresh that swapped.
+	stages := map[string]RefreshStage{}
+	for _, st := range model.Refresh.LastStages {
+		stages[st.Name] = st
+	}
+	for _, name := range []string{"assign", "forest", "outdoor", "forecast"} {
+		st, ok := stages[name]
+		if !ok || st.WallMS <= 0 || st.WaitedMS < 0 {
+			t.Fatalf("/v1/model last_stages lacks a timed %q stage: %s", name, mbody)
+		}
+	}
+}
+
+// swapOnce folds a probe batch into the server's sink and runs one refresh
+// that must publish a new revision.
+func swapOnce(t *testing.T, s *Server, ref *Refresher, records int) uint64 {
+	t.Helper()
+	s.Sink().AddBatch(ingestRecords(records))
+	out, err := ref.RefreshOnce(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Swapped {
+		t.Fatalf("refresh over new aggregates must swap: %+v", out)
+	}
+	return out.Revision
+}
+
+// servedShapeResult runs a private cold pipeline (seed 1, scale 0.1) with
+// the served default of 100 trees. The byte ratios below are a claim about
+// that shape: with goldenResult's 15 trees the forest is so small that the
+// forecast set dominates both copies. Unlike goldenResult it is not
+// cached, so a test may drop every reference to it.
+func servedShapeResult(t *testing.T) *analysis.Result {
+	t.Helper()
+	ds := synth.Generate(synth.Config{Seed: 1, Scale: 0.1})
+	res, err := analysis.RunOnDataset(ds, analysis.Config{Seed: 1, Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSupersededRevisionKeepsAuditSurface: once a revision is superseded,
+// ResultFor serves its slim copy. Every audit a caller runs on a served
+// revision — verdict parity, label reads, the forecast refit, the stage
+// trace — must still resolve to the values captured while it was current,
+// while the forest and RSCA matrix are no longer retained.
+func TestSupersededRevisionKeepsAuditSurface(t *testing.T) {
+	res := servedShapeResult(t)
+	snap, err := NewModelSnapshot(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, snap, Config{})
+	ref, err := NewRefresher(s, res, RefreshConfig{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Stop()
+
+	rev1 := swapOnce(t, s, ref, 200)
+	full, ok := ref.ResultFor(rev1)
+	if !ok || full.Surrogate == nil || full.RSCA == nil {
+		t.Fatalf("current revision %016x must resolve to its full result", rev1)
+	}
+	outdoor := slices.Clone(full.OutdoorLabels)
+	labels := slices.Clone(full.Labels)
+	digest := full.Forecasts.Digest()
+
+	rev2 := swapOnce(t, s, ref, 400)
+	if rev2 == rev1 {
+		t.Fatal("second swap kept the revision")
+	}
+	slim, ok := ref.ResultFor(rev1)
+	if !ok {
+		t.Fatalf("superseded revision %016x no longer resolves", rev1)
+	}
+	if slim == full {
+		t.Fatal("superseded revision still resolves to its full result")
+	}
+	if !slices.Equal(slim.OutdoorLabels, outdoor) || !slices.Equal(slim.Labels, labels) {
+		t.Fatal("slim copy changed the revision's verdicts or labels")
+	}
+	if got := slim.Forecasts.Digest(); got != digest {
+		t.Fatalf("slim forecast digest %016x, want %016x", got, digest)
+	}
+	refit, err := slim.RefitForecasts(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := refit.Digest(); got != digest {
+		t.Fatalf("refit on the slim copy: digest %016x, want %016x", got, digest)
+	}
+	if len(slim.Trace().Stages()) == 0 {
+		t.Fatal("slim copy lost the revision's stage trace")
+	}
+	if slim.Surrogate != nil || slim.RSCA != nil {
+		t.Fatal("slim copy still pins the surrogate or the RSCA matrix")
+	}
+	if _, err := NewModelSnapshot(slim); err == nil {
+		t.Fatal("NewModelSnapshot accepted a slim result")
+	}
+	if base, ok := ref.ResultFor(snap.Revision); !ok || base.Surrogate != nil {
+		t.Fatal("the superseded base revision must resolve to a slim copy")
+	}
+
+	// Bytes each copy of revision 1 retains beyond what the current
+	// revision and the cold base already reach (the shared calendar,
+	// antenna list and outdoor traffic).
+	cur, _ := ref.ResultFor(rev2)
+	shared := map[uintptr]bool{}
+	retainedBytes(reflect.ValueOf(cur), shared)
+	retainedBytes(reflect.ValueOf(res), shared)
+	fullBytes := retainedBytes(reflect.ValueOf(full), maps.Clone(shared))
+	slimBytes := retainedBytes(reflect.ValueOf(slim), maps.Clone(shared))
+	t.Logf("revision 1 retains %d B full, %d B slim", fullBytes, slimBytes)
+	if 2*slimBytes > fullBytes {
+		t.Fatalf("slim copy retains %d B, more than half the full result's %d B", slimBytes, fullBytes)
+	}
+	// The slim entry's shape is the documented byte bound: one traffic
+	// matrix, the label vectors and the forecast set, plus headers.
+	traffic := slim.Dataset.Traffic
+	bound := int64(8*traffic.Rows()*traffic.Cols()) +
+		8*int64(len(slim.Labels)+len(slim.LabelAlignment)+len(slim.OutdoorLabels)+len(slim.OutdoorShare)) +
+		retainedBytes(reflect.ValueOf(slim.Forecasts), maps.Clone(shared)) +
+		slimEntryOverhead
+	if slimBytes > bound {
+		t.Fatalf("slim copy retains %d B, above its shape bound of %d B", slimBytes, bound)
+	}
+}
+
+// slimEntryOverhead bounds what a slim entry holds besides its traffic
+// matrix, label vectors and forecast set: the Result and Dataset headers,
+// the matrix header and the stage trace.
+const slimEntryOverhead = 4 << 10
+
+// retainedBytes sums the heap bytes reachable from v that are not yet in
+// seen, marking what it visits: a pointer counts its pointee once, a
+// slice its backing array once, a map its entries. Strings, channels and
+// functions count nothing, so the figure is a lower bound dominated by
+// the float and int arrays that make up a pipeline result.
+func retainedBytes(v reflect.Value, seen map[uintptr]bool) int64 {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return 0
+		}
+		seen[v.Pointer()] = true
+		return int64(v.Type().Elem().Size()) + retainedBytes(v.Elem(), seen)
+	case reflect.Interface:
+		if v.IsNil() {
+			return 0
+		}
+		return retainedBytes(v.Elem(), seen)
+	case reflect.Slice:
+		if v.IsNil() || seen[v.Pointer()] {
+			return 0
+		}
+		seen[v.Pointer()] = true
+		n := int64(v.Cap()) * int64(v.Type().Elem().Size())
+		for i := 0; i < v.Len(); i++ {
+			n += retainedBytes(v.Index(i), seen)
+		}
+		return n
+	case reflect.Map:
+		if v.IsNil() || seen[v.Pointer()] {
+			return 0
+		}
+		seen[v.Pointer()] = true
+		n := int64(v.Len()) * int64(v.Type().Key().Size()+v.Type().Elem().Size())
+		for it := v.MapRange(); it.Next(); {
+			n += retainedBytes(it.Key(), seen) + retainedBytes(it.Value(), seen)
+		}
+		return n
+	case reflect.Struct:
+		var n int64
+		for i := 0; i < v.NumField(); i++ {
+			n += retainedBytes(v.Field(i), seen)
+		}
+		return n
+	case reflect.Array:
+		var n int64
+		for i := 0; i < v.Len(); i++ {
+			n += retainedBytes(v.Index(i), seen)
+		}
+		return n
+	}
+	return 0
 }
 
 // TestRefresherTickLoop exercises the background loop end to end: a short

@@ -185,17 +185,21 @@ func TestOfferAllOrNothing(t *testing.T) {
 		}
 	}
 	// Fill shard 0's queue (depth 1) plus the in-flight slot its worker
-	// sleeps on; keep offering until it rejects.
+	// sleeps on. A rejection alone does not prove that: the worker may not
+	// have taken the first batch yet, and would free the queue slot right
+	// after. So offer until both one-record batches are held.
 	landed := 0
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Offer(map[int][]probe.Record{0: keyFor(0)}) {
-		landed++
+	for s.Stats()[0].QueuedRecords < 2 {
+		if s.Offer(map[int][]probe.Record{0: keyFor(0)}) {
+			landed++
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("shard 0 queue never filled")
 		}
 	}
-	if landed == 0 {
-		t.Fatal("no offer landed on an empty queue")
+	if landed != 2 {
+		t.Fatalf("%d offers landed filling a depth-1 queue and its in-flight slot, want 2", landed)
 	}
 	before := s.Stats()
 	// A batch spanning both shards must be rejected whole: shard 1 has
