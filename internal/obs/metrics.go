@@ -73,6 +73,7 @@ var Catalog = []MetricDef{
 	{Name: "serve.classify.antennas", Kind: KindCounter, Instance: true, Help: "traffic vectors classified"},
 	{Name: "serve.classify.cache.hits", Kind: KindCounter, Instance: true, Help: "verdicts served from the revision LRU"},
 	{Name: "serve.classify.cache.misses", Kind: KindCounter, Instance: true, Help: "verdicts that ran the model"},
+	{Name: "serve.classify.decode.ms", Kind: KindHistogram, Instance: true, Help: "classify body decode time (DecodeClassify), one observation per body"},
 	{Name: "serve.classify.latency.ms", Kind: KindHistogram, Instance: true, Help: "classify handler latency"},
 	{Name: "serve.classify.requests", Kind: KindCounter, Instance: true, Help: "classify requests"},
 

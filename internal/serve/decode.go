@@ -15,12 +15,19 @@ import (
 //	{"antennas":[{"id":…,"revision":…,"traffic":[…]},…]}
 //
 // with any JSON whitespace and the three antenna keys in any order, each
-// at most once. Floats go through strconv.ParseFloat, the parser
-// encoding/json uses, so every value is bit-identical, and every
-// antenna's Traffic slices into one backing array per request. Any body
-// outside that grammar — escaped or case-folded keys, unknown or repeated
-// keys, null, non-integer or out-of-range numbers, trailing data, syntax
-// errors — is decoded by encoding/json on the same bytes, so every
+// at most once, and every antenna's Traffic slices into one backing array
+// per request. Each number is read in that one pass: the grammar check
+// also collects strconv.readFloat's mantissa and decimal exponent, which
+// then convert in three tiers — Clinger's exact path, Eisel–Lemire
+// (atof.go), and strconv.ParseFloat on the token for what neither settles
+// (over 19 digits, half-way and subnormal cases, out-of-range exponents).
+// Each tier returns the correctly rounded value or declines, so every
+// float is bit-identical to strconv.ParseFloat's, the parser
+// encoding/json uses.
+//
+// Any body outside that grammar — escaped or case-folded keys, unknown or
+// repeated keys, null, non-integer or out-of-range numbers, trailing data,
+// syntax errors — is decoded by encoding/json on the same bytes, so every
 // accepted body, every rejected body and every error string is the
 // reflective decoder's.
 func DecodeClassify(body []byte) (ClassifyRequest, error) {
@@ -143,12 +150,8 @@ func (s *classifyScanner) floats(sp *trafficSpan, traffic *[]float64) bool {
 	sp.lo, sp.set = len(*traffic), true
 	if !s.consume(']') {
 		for {
-			tok, ok := s.number()
+			f, ok := s.float()
 			if !ok {
-				return false
-			}
-			f, err := strconv.ParseFloat(string(tok), 64)
-			if err != nil {
 				return false
 			}
 			*traffic = append(*traffic, f)
@@ -165,64 +168,122 @@ func (s *classifyScanner) floats(sp *trafficSpan, traffic *[]float64) bool {
 	return true
 }
 
-// integer reads a JSON number that is a plain decimal integer fitting in
-// bits. ParseUint rejects the sign, fraction and exponent a JSON number
-// may carry, so those, like overflow, are left to the fallback.
-func (s *classifyScanner) integer(bits int) (uint64, bool) {
-	tok, ok := s.number()
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(string(tok), 10, bits)
-	return v, err == nil
-}
-
-// number returns the JSON number token at the cursor (RFC 8259 §6:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?). What may follow it is
-// the caller's grammar, so "01" scans as "0" and then fails there.
-func (s *classifyScanner) number() ([]byte, bool) {
+// float reads the longest JSON number at the cursor (RFC 8259 §6:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) and returns the float64
+// strconv.ParseFloat returns for it, reporting false when there is none
+// or ParseFloat errs (overflow). What may follow the number is the
+// caller's grammar, so "01" and "1." read as 0 and 1 and then fail there.
+//
+// The grammar loop also does strconv.readFloat's bookkeeping: up to 19
+// significant digits in man, the decimal exponent in exp10, and trunc
+// when a dropped digit is non-zero, with the exponent's digits capped as
+// readFloat caps them. So man·10^exp10 is readFloat's value, and exactly
+// the token's when !trunc. That value goes to the first tier that settles
+// it: exactFloat, then eiselLemire64, then ParseFloat on the token itself.
+func (s *classifyScanner) float() (float64, bool) {
 	s.skipSpace()
 	b, start := s.b, s.i
 	i := start
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var man uint64
+	nd, exp10 := 0, 0 // nd counts the digits held in man
+	trunc := false
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
-	default:
-		return nil, false
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digits(b, i+1)
-		if j == i+1 {
-			return nil, false
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < 19 {
+				man = man*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				exp10++
+				trunc = trunc || b[i] != '0'
+			}
 		}
-		i = j
+	default:
+		return 0, false
+	}
+	if i+1 < len(b) && b[i] == '.' && '0' <= b[i+1] && b[i+1] <= '9' {
+		for i++; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < 19 {
+				man = man*10 + uint64(b[i]-'0')
+				exp10--
+				if man != 0 { // leading zeros only move the exponent
+					nd++
+				}
+			} else {
+				trunc = trunc || b[i] != '0'
+			}
+		}
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
+		j, eneg := i+1, false
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			eneg = b[j] == '-'
+			j++
 		}
-		j := digits(b, i)
-		if j == i {
-			return nil, false
+		if j < len(b) && '0' <= b[j] && b[j] <= '9' {
+			e := 0
+			for i = j; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+				if e < 10000 {
+					e = e*10 + int(b[i]-'0')
+				}
+			}
+			if eneg {
+				e = -e
+			}
+			exp10 += e
 		}
-		i = j
+	}
+	if !trunc {
+		if f, ok := exactFloat(man, exp10, neg); ok {
+			s.i = i
+			return f, true
+		}
+		if f, ok := eiselLemire64(man, exp10, neg); ok {
+			s.i = i
+			return f, true
+		}
+	}
+	f, err := strconv.ParseFloat(string(b[start:i]), 64)
+	if err != nil {
+		return 0, false
 	}
 	s.i = i
-	return b[start:i], true
+	return f, true
 }
 
-// digits returns the index of the first non-digit at or after i.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+// integer reads a JSON number that is a plain decimal integer fitting in
+// bits. A sign, fraction or exponent, like overflow, is left to the
+// fallback, as strconv.ParseUint would reject it.
+func (s *classifyScanner) integer(bits int) (uint64, bool) {
+	s.skipSpace()
+	b, i := s.b, s.i
+	limit := uint64(1)<<bits - 1
+	var v uint64
+	switch {
+	case i < len(b) && b[i] == '0':
 		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			d := uint64(b[i] - '0')
+			if v > (limit-d)/10 {
+				return 0, false
+			}
+			v = v*10 + d
+		}
+	default:
+		return 0, false
 	}
-	return i
+	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
+		return 0, false
+	}
+	s.i = i
+	return v, true
 }
 
 // key consumes `"name":` when the next object key is exactly name, with no

@@ -3,7 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -25,6 +29,12 @@ var decodeCases = []struct {
 	{"empty antenna", `{"antennas":[{}]}`, true},
 	{"empty traffic", `{"antennas":[{"id":3,"traffic":[]}]}`, true},
 	{"subnormal", `{"antennas":[{"traffic":[4.9e-324,1e-400,2.2250738585072014e-308]}]}`, true},
+	// Each of these takes the scanner's strconv tier, still without the
+	// encoding/json fallback: a mantissa past 19 digits, a half-way case
+	// Eisel–Lemire cannot settle, and subnormals.
+	{"20-digit mantissa", `{"antennas":[{"traffic":[12345678901234567891,0.12345678901234567891e-5]}]}`, true},
+	{"1e23", `{"antennas":[{"traffic":[1e23,-1e23]}]}`, true},
+	{"subnormal tier", `{"antennas":[{"traffic":[2.2250738585072011e-308,2.4703282292062327e-324,-5e-324]}]}`, true},
 
 	{"case-folded key", `{"antennas":[{"ID":1,"traffic":[1,2,3]}]}`, false},
 	{"case-folded top key", `{"Antennas":[{"id":1,"traffic":[1,2,3]}]}`, false},
@@ -135,6 +145,118 @@ func FuzzDecodeClassify(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		sameDecode(t, body)
 	})
+}
+
+// floatSeeds are the conversion edge cases FuzzClassifyFloat starts from:
+// the float64 integer limit, Clinger's exact path at its edges, mantissas
+// around the 19-digit cut, long zero runs, the subnormal boundary and the
+// overflow boundary.
+var floatSeeds = []string{
+	"9007199254740991", "9007199254740992", "9007199254740993", "4503599627370496",
+	"1e22", "1e23", "123456789e15",
+	"1234567890123456789", "12345678901234567890", "9999999999999999999", "18446744073709551616",
+	// Just past the half-way point between two float64s, decided only by
+	// a digit beyond the 19 the mantissa holds: in the fraction (1 and
+	// its successor) and in the integer part (2^64 and its successor).
+	"1.000000000000000111022302462515654042363166809082031251", "18446744073709553664000001e-6",
+	"0." + strings.Repeat("0", 30) + "1",
+	"2.2250738585072011e-308", "4.9e-324", "2.4703282292062327e-324",
+	"1.7976931348623157e308", "1.7976931348623159e308",
+	"-0", "0e-999",
+}
+
+// jsonNumber is the oracle's RFC 8259 number grammar, after the JSON
+// whitespace float skips.
+var jsonNumber = regexp.MustCompile(`^[ \t\n\r]*(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)`)
+
+// sameFloat fails t unless the scanner's float agrees with
+// strconv.ParseFloat on the longest JSON number at the start of in: it
+// reads none exactly when there is none or ParseFloat errs, and otherwise
+// returns ParseFloat's bits with the cursor just past the number.
+func sameFloat(t *testing.T, in []byte) {
+	t.Helper()
+	s := classifyScanner{b: in}
+	got, ok := s.float()
+	m := jsonNumber.FindSubmatch(in)
+	if m == nil {
+		if ok {
+			t.Fatalf("%q: float read %v where the grammar has no number", in, got)
+		}
+		return
+	}
+	want, err := strconv.ParseFloat(string(m[1]), 64)
+	if ok != (err == nil) {
+		t.Fatalf("%q: float ok = %v, ParseFloat(%q) err = %v", in, ok, m[1], err)
+	}
+	if !ok {
+		return
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%q: float = %v (%#x), ParseFloat = %v (%#x)", in, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	if s.i != len(m[0]) {
+		t.Fatalf("%q: cursor stopped at %d, want %d", in, s.i, len(m[0]))
+	}
+}
+
+// FuzzClassifyFloat is the scanner's float conversion against
+// strconv.ParseFloat: accept or reject, bits and cursor, for any bytes.
+// Each seed also runs negated, between whitespace and a bracket, and
+// followed by a fraction or exponent that never completes.
+func FuzzClassifyFloat(f *testing.F) {
+	for _, seed := range floatSeeds {
+		for _, in := range []string{seed, "-" + seed, " " + seed + "]", seed + ".", seed + "e", seed + "e+"} {
+			f.Add([]byte(in))
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		sameFloat(t, in)
+	})
+}
+
+// TestPow10TableRows pins the computed Eisel–Lemire table against rows of
+// the literal table in Go's strconv/eisel_lemire.go: both ends, 1e-1 and
+// 1e0.
+func TestPow10TableRows(t *testing.T) {
+	pow := detailedPowersOfTen()
+	for _, c := range []struct {
+		q   int
+		row [2]uint64
+	}{
+		{-348, [2]uint64{0x1732C869CD60E453, 0xFA8FD5A0081C0288}},
+		{-1, [2]uint64{0xCCCCCCCCCCCCCCCC, 0xCCCCCCCCCCCCCCCC}},
+		{0, [2]uint64{0x0000000000000000, 0x8000000000000000}},
+		{347, [2]uint64{0x4B7195F2D2D1A9FB, 0xD13EB46469447567}},
+	} {
+		if got := pow[c.q-pow10MinExp10]; got != c.row {
+			t.Errorf("1e%d row = {%#x, %#x}, strconv has {%#x, %#x}", c.q, got[0], got[1], c.row[0], c.row[1])
+		}
+	}
+}
+
+// TestEveryPow10Row converts m·10^q for every table row q and three
+// mantissas: one digit, the largest exact float64 integer, and the largest
+// 19-digit mantissa. Eisel–Lemire must match ParseFloat whenever it
+// answers, and must answer for most rows, so the rows are really used.
+func TestEveryPow10Row(t *testing.T) {
+	answered, total := 0, 0
+	for q := pow10MinExp10; q <= pow10MaxExp10; q++ {
+		for _, m := range []uint64{1, 1<<53 - 1, 9999999999999999999} {
+			in := fmt.Sprintf("%de%d", m, q)
+			sameFloat(t, []byte(in))
+			want, err := strconv.ParseFloat(in, 64)
+			total++
+			if f, ok := eiselLemire64(m, q, false); ok {
+				answered++
+				if err != nil || math.Float64bits(f) != math.Float64bits(want) {
+					t.Fatalf("%s: Eisel–Lemire = %v, ParseFloat = %v (err %v)", in, f, want, err)
+				}
+			}
+		}
+	}
+	if answered < total*3/4 {
+		t.Fatalf("Eisel–Lemire answered %d of %d rows", answered, total)
+	}
 }
 
 // bulkClassifyBody builds a json.Marshal'd request of n antennas with

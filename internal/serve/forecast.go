@@ -150,6 +150,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	// Load the snapshot once: revision echo, cache key and model reads
 	// must agree even if a swap lands mid-request.
 	snap := s.snap.Load()
+	setRevision(w, snap)
 	set := snap.Forecasts
 	if set == nil {
 		WriteError(w, http.StatusServiceUnavailable, "served snapshot carries no forecast models")
@@ -248,6 +249,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.reg.Add("serve.plan.requests", 1)
 
 	snap := s.snap.Load()
+	setRevision(w, snap)
 	set := snap.Forecasts
 	if set == nil {
 		WriteError(w, http.StatusServiceUnavailable, "served snapshot carries no forecast models")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -318,6 +319,48 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 	if st := s.Stats(); st.PlanRequests != 1 {
 		t.Fatalf("plan requests %d, want 1", st.PlanRequests)
+	}
+}
+
+// TestResponsesNameRevision pins RevisionHeader: classify, forecast (a
+// miss, then a cached hit) and plan each name, in the header, the revision
+// their body reports, across a snapshot swap.
+func TestResponsesNameRevision(t *testing.T) {
+	snap := forecastSnapshot(t)
+	s := startServer(t, snap, Config{})
+	cl := 0
+	calls := []struct {
+		path string
+		body any
+	}{
+		{"/v1/classify", ClassifyRequest{Antennas: []AntennaVector{{ID: 1, Traffic: []float64{100, 5, 5}}}}},
+		{"/v1/forecast", ForecastRequest{Cluster: &cl, Horizon: 24}},
+		{"/v1/forecast", ForecastRequest{Cluster: &cl, Horizon: 24}},
+		{"/v1/plan", PlanRequest{Horizon: 24, Actions: []forecast.Action{{Op: forecast.OpAddAntennas, Cluster: 0, Count: 1}}}},
+	}
+	for _, want := range []uint64{snap.Revision, snap.Revision + 1} {
+		if want != snap.Revision {
+			next := *snap
+			next.Revision = want
+			if err := s.SwapSnapshot(&next); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range calls {
+			resp, body := postJSON(t, baseURL(s)+c.path, c.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: %d %s", c.path, resp.StatusCode, body)
+			}
+			var echo struct {
+				ModelRevision uint64 `json:"model_revision"`
+			}
+			if err := json.Unmarshal(body, &echo); err != nil {
+				t.Fatal(err)
+			}
+			if got := resp.Header.Get(RevisionHeader); got != strconv.FormatUint(echo.ModelRevision, 10) || echo.ModelRevision != want {
+				t.Fatalf("%s: %s %q, body model_revision %d, serving %d", c.path, RevisionHeader, got, echo.ModelRevision, want)
+			}
+		}
 	}
 }
 

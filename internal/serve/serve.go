@@ -24,6 +24,9 @@
 //	GET  /healthz      liveness
 //	GET  /metrics      Prometheus text: obs counters + latency histograms
 //
+// Classify, forecast and plan responses carry the revision of the snapshot
+// that answered in an X-Icn-Revision header (RevisionHeader).
+//
 // Production behaviors: per-request context deadlines, bounded ingest queue
 // with Retry-After hints, and graceful shutdown that stops intake, drains
 // queued batches into the aggregate, and only then returns — an acked
@@ -318,6 +321,17 @@ func (s *Server) withDeadline(h func(http.ResponseWriter, *http.Request)) http.H
 	}
 }
 
+// RevisionHeader names the response header that carries, in decimal, the
+// revision of the snapshot a classify, forecast or plan handler loaded.
+const RevisionHeader = "X-Icn-Revision"
+
+// setRevision stamps w with the revision of the snapshot the handler
+// loaded, so the header names the model that answered even when a swap
+// lands mid-request.
+func setRevision(w http.ResponseWriter, snap *ModelSnapshot) {
+	w.Header().Set(RevisionHeader, strconv.FormatUint(snap.Revision, 10))
+}
+
 // WriteJSON answers with status and v encoded as the JSON body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -493,7 +507,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		WriteBodyError(w, err)
 		return
 	}
+	decodeAt := time.Now()
 	req, err := DecodeClassify(body)
+	s.reg.ObserveMS("serve.classify.decode.ms", msSince(decodeAt))
 	if err != nil {
 		WriteBodyError(w, err)
 		return
@@ -513,6 +529,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// classification) must see the same model even if a swap lands
 	// mid-request.
 	snap := s.snap.Load()
+	setRevision(w, snap)
 	if err := s.cfg.Faults.Wait(r.Context(), fault.Classify); err != nil {
 		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
 		return

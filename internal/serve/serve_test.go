@@ -705,6 +705,7 @@ func counterSample(t *testing.T, text, name string) int64 {
 // TestStatsAgreeWithMetrics pins the contract between Stats and the
 // server's /metrics: one fixed sequence touches every counted event, and
 // each Stats field must equal the counter that /metrics exports for it.
+// Each classify request also adds exactly one decode-phase observation.
 func TestStatsAgreeWithMetrics(t *testing.T) {
 	slowFolds := fault.New(1, map[fault.Site]fault.Rule{
 		fault.Fold: {DelayProb: 1, Delay: 100 * time.Millisecond},
@@ -736,6 +737,10 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	cl := 0
 	for i := 0; i < 2; i++ { // a miss, then a hit
 		postJSON(t, baseURL(s)+"/v1/classify", ClassifyRequest{Antennas: []AntennaVector{vec}})
+		// Each classify request observes its body decode exactly once.
+		if got := counterSample(t, scrapeMetrics(t, s.Handler()), "serve.classify.decode.ms.count"); got != int64(i+1) {
+			t.Fatalf("after %d classify requests /metrics holds %d decode observations", i+1, got)
+		}
 		postJSON(t, baseURL(s)+"/v1/forecast", ForecastRequest{Cluster: &cl, Horizon: 24})
 	}
 	postJSON(t, baseURL(s)+"/v1/plan", PlanRequest{

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -440,15 +441,21 @@ func (rt *Router) handleModel(w http.ResponseWriter, r *http.Request) {
 	rt.proxy(w, r, "/v1/model", nil)
 }
 
+// ReplicaHeader names the response header in which the router reports the
+// index of the replica that answered a proxied request.
+const ReplicaHeader = "X-Icn-Replica"
+
 // proxy forwards to live replicas starting at the round-robin cursor,
 // advancing past dead replicas and transport failures. Every failover is
-// counted; exhausting the replica set answers 503.
+// counted; exhausting the replica set answers 503. A relayed response
+// names its replica in ReplicaHeader.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, body []byte) {
 	n := len(rt.replicas)
 	start := int(rt.rr.Add(1)) % n
 	var lastErr error
 	for off := 0; off < n; off++ {
-		rep := rt.replicas[(start+off)%n]
+		idx := (start + off) % n
+		rep := rt.replicas[idx]
 		if !rep.alive.Load() {
 			continue
 		}
@@ -473,20 +480,21 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, path string, bod
 			continue
 		}
 		rt.reg.Add("shard.router.proxied", 1)
+		w.Header().Set(ReplicaHeader, strconv.Itoa(idx))
 		copyResponse(w, resp)
 		return
 	}
 	serve.WriteError(w, http.StatusServiceUnavailable, "no live replica: %v", lastErr)
 }
 
-// copyResponse relays a replica response to the client verbatim.
+// copyResponse relays a replica response to the client verbatim: status,
+// body and the headers a client reads.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
+	for _, h := range []string{"Content-Type", "Retry-After", serve.RevisionHeader} {
+		if v := resp.Header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)

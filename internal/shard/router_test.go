@@ -194,6 +194,56 @@ func TestReplicaMetricsAreIsolated(t *testing.T) {
 	}
 }
 
+// TestRouterNamesReplicaAndRevision proxies classifies over two replicas:
+// each response names its replica in ReplicaHeader, consecutive requests
+// name different replicas, and the relayed revision header equals the
+// body's model_revision. /v1/model names its replica too.
+func TestRouterNamesReplicaAndRevision(t *testing.T) {
+	snap := tinySnapshot(t)
+	rt := startRouter(t, snap, nil, Config{Shards: 1, Replicas: 2})
+	body, err := json.Marshal(serve.ClassifyRequest{
+		Antennas: []serve.AntennaVector{{ID: 1, Traffic: []float64{100, 5, 5}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := ""
+	for i := 0; i < 4; i++ {
+		resp, err := http.Post(rt.URL()+"/v1/classify", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got serve.ClassifyResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("proxied classify: status %d, %v", resp.StatusCode, err)
+		}
+		replica := resp.Header.Get(ReplicaHeader)
+		if idx, err := strconv.Atoi(replica); err != nil || idx < 0 || idx >= 2 {
+			t.Fatalf("classify %d: %s %q is no replica index", i, ReplicaHeader, replica)
+		}
+		if replica == prev {
+			t.Errorf("classify %d: replica %s answered twice in a row", i, replica)
+		}
+		prev = replica
+		rev := resp.Header.Get(serve.RevisionHeader)
+		if rev != strconv.FormatUint(got.ModelRevision, 10) || got.ModelRevision != snap.Revision {
+			t.Errorf("classify %d: %s %q, body model_revision %d, snapshot %d",
+				i, serve.RevisionHeader, rev, got.ModelRevision, snap.Revision)
+		}
+	}
+	resp, err := http.Get(rt.URL() + "/v1/model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.Header.Get(ReplicaHeader) == "" {
+		t.Errorf("/v1/model through the router names no replica")
+	}
+}
+
 // TestMetricsCarryEveryCatalogNameOnce scrapes a fresh router and a fresh
 // standalone server before any traffic: each one's own registry plus the
 // process-wide one must export every catalog name exactly once.
