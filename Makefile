@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build lint test race bench bench-gate bench-baseline artifacts serve-bench shard-bench fuzz-short
+.PHONY: build lint test race bench bench-gate bench-baseline artifacts serve-bench fuzz-short
 
 build:
 	$(GO) build ./...
@@ -23,16 +23,20 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Benchmark-regression gate: rerun the pipeline at the committed baseline's
-# shape and fail when any stage (or the total) slows beyond the tolerance.
-# Env knobs (BENCH_GATE_TOLERANCE, BENCH_GATE_RUNS, ...) are documented in
-# scripts/bench_gate.sh.
+# shape (its seed, scale, k and trees) and fail when any stage (or the
+# total) slows beyond the tolerance; then rerun and gate the serving leg
+# against BENCH_serve.json. Env knobs (BENCH_GATE_TOLERANCE,
+# BENCH_GATE_RUNS, ...) are documented in scripts/bench_gate.sh.
 bench-gate:
 	./scripts/bench_gate.sh
 
 # Refresh the committed gate baseline from a best-of-3 measurement on this
-# machine (the printed verdict against the old baseline is informational —
-# a refresh after an intentional slowdown is allowed to "fail" the gate).
-# Run after intentional performance changes, commit the result.
+# machine, at the baseline's own shape (the printed verdict against the old
+# baseline is informational — a refresh after an intentional slowdown is
+# allowed to "fail" the gate). Run after intentional performance changes,
+# commit the result. To re-baseline at a new shape, first write a record at
+# it, e.g. `go run ./cmd/icnbench -quiet -benchjson BENCH_baseline.json
+# -scale X`, then run this target to replace it with a best-of-3.
 bench-baseline:
 	-$(GO) run ./cmd/icnbench -quiet -gateruns 3 -gate BENCH_baseline.json -benchjson BENCH_baseline.json
 
@@ -46,13 +50,6 @@ artifacts:
 # mid-run swap and per-revision bit-parity audit).
 serve-bench:
 	$(GO) run ./cmd/icnbench -serve -scale 0.1 -trees 25 -servejson BENCH_serve.json
-
-# Full nationwide-scale sharded benchmark: scale 1.0 (4,762 indoor +
-# 22,000 outdoor antennas), 2M probe sessions through 4 shards and 2
-# replicas with mid-run kills. Refreshes the committed BENCH_shard.json
-# gate baseline; run after intentional performance changes and commit.
-shard-bench:
-	$(GO) run ./cmd/icnbench -shards 4 -replicas 2 -shardjson BENCH_shard.json
 
 # Every fuzz target for a short fixed slice each — the CI-sized sweep of
 # the wire-format, CSV, and HTTP-body parsers.

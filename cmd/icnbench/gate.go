@@ -13,14 +13,14 @@ import (
 )
 
 // The benchmark-regression gate (-gate) reruns the pipeline at the
-// baseline's shape and fails when any stage — or the total — slows down
-// beyond a tolerance. Two levers keep it honest on noisy shared runners:
-// the candidate takes the per-stage best over -gateruns reruns (scheduler
-// preemption inflates single samples), and stages whose baseline wall is
-// under -gatefloor milliseconds are held to the floor's limit instead of
-// their own — short stages overlapping a long stage's tail on a loaded
-// (or single-core) runner see contention-dominated walls, so a 0.2 ms
-// stage doubling is noise, not regression.
+// baseline record's shape (see gateShape) and fails when any stage — or
+// the total — slows down beyond a tolerance. Two levers keep it honest on
+// noisy shared runners: the candidate takes the per-stage best over
+// -gateruns reruns (scheduler preemption inflates single samples), and
+// stages whose baseline wall is under -gatefloor milliseconds are held to
+// the floor's limit instead of their own — short stages overlapping a long
+// stage's tail on a loaded (or single-core) runner see contention-dominated
+// walls, so a 0.2 ms stage doubling is noise, not regression.
 
 // gateStatus classifies one table row of the gate report.
 type gateStatus string
@@ -114,14 +114,37 @@ func validateGateRows(rec benchRecord, expected []string) error {
 	return nil
 }
 
-// runGate loads the baseline record, measures (or loads, with comparePath)
-// a candidate record, prints the per-stage table and returns an error when
-// any baseline stage regressed beyond the tolerance, exceeded its
-// absolute maxMS ceiling, or disappeared. A ceiling that names neither a
-// baseline stage nor TOTAL is an error too: it would enforce nothing. A
-// non-empty expect list also pins the candidate's exact row schema (see
-// validateGateRows).
-func runGate(cfg analysis.Config, baselinePath, comparePath, benchPath string, tolerance, floorMS float64, runs int, maxMS map[string]float64, expect []string) error {
+// gateShape returns the config a measuring gate runs at: cfg with the
+// baseline record's seed, scale, k and trees. explicit names the flags the
+// caller set; one of those four set to a value other than the baseline's
+// is an error, since it would gate a run of one shape against a baseline
+// of another.
+func gateShape(base benchRecord, cfg analysis.Config, explicit map[string]bool) (analysis.Config, error) {
+	if base.Scale <= 0 || base.K <= 0 || base.Trees <= 0 {
+		return cfg, fmt.Errorf("baseline records no pipeline shape (scale %v, k %d, trees %d)", base.Scale, base.K, base.Trees)
+	}
+	for _, f := range []struct{ name, flag, base string }{
+		{"seed", fmt.Sprint(cfg.Seed), fmt.Sprint(base.Seed)},
+		{"scale", fmt.Sprint(cfg.Scale), fmt.Sprint(base.Scale)},
+		{"k", fmt.Sprint(cfg.K), fmt.Sprint(base.K)},
+		{"trees", fmt.Sprint(cfg.ForestTrees), fmt.Sprint(base.Trees)},
+	} {
+		if explicit[f.name] && f.flag != f.base {
+			return cfg, fmt.Errorf("-%s %s conflicts with the baseline's %s %s; the gate measures at the baseline's shape", f.name, f.flag, f.name, f.base)
+		}
+	}
+	cfg.Seed, cfg.Scale, cfg.K, cfg.ForestTrees = base.Seed, base.Scale, base.K, base.Trees
+	return cfg, nil
+}
+
+// runGate loads the baseline record, measures (at the baseline's shape,
+// see gateShape) or loads (with comparePath) a candidate record, prints
+// the per-stage table and returns an error when any baseline stage
+// regressed beyond the tolerance, exceeded its absolute maxMS ceiling, or
+// disappeared. A ceiling that names neither a baseline stage nor TOTAL is
+// an error too: it would enforce nothing. A non-empty expect list also
+// pins the candidate's exact row schema (see validateGateRows).
+func runGate(cfg analysis.Config, explicit map[string]bool, baselinePath, comparePath, benchPath string, tolerance, floorMS float64, runs int, maxMS map[string]float64, expect []string) error {
 	base, err := readBenchRecord(baselinePath)
 	if err != nil {
 		return fmt.Errorf("bench gate: baseline: %w", err)
@@ -142,6 +165,9 @@ func runGate(cfg analysis.Config, baselinePath, comparePath, benchPath string, t
 		}
 		fmt.Fprintf(os.Stderr, "icnbench: gating %s against %s\n", comparePath, baselinePath)
 	} else {
+		if cfg, err = gateShape(base, cfg, explicit); err != nil {
+			return fmt.Errorf("bench gate: %w", err)
+		}
 		if cand, err = measureBest(cfg, runs, benchPath); err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/obs"
 )
 
 func gateFixture() (benchRecord, benchRecord) {
@@ -159,26 +160,29 @@ func TestCompareBenchCeilingAboveLimitIsInert(t *testing.T) {
 	}
 }
 
+// writeRecord writes rec as JSON to dir/name and returns the path.
+func writeRecord(t *testing.T, dir, name string, rec benchRecord) string {
+	t.Helper()
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestRunGateRejectsUnknownCeiling: a -gatemax ceiling must name a
 // baseline stage or TOTAL. compareBench looks ceilings up by row name, so
 // a misspelt stage ("forests") would otherwise enforce nothing.
 func TestRunGateRejectsUnknownCeiling(t *testing.T) {
 	base, cand := gateFixture()
 	dir := t.TempDir()
-	write := func(name string, rec benchRecord) string {
-		data, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	basePath, candPath := write("base.json", base), write("cand.json", cand)
+	basePath, candPath := writeRecord(t, dir, "base.json", base), writeRecord(t, dir, "cand.json", cand)
 	gate := func(maxMS map[string]float64) error {
-		return runGate(analysis.Config{}, basePath, candPath, "", 0.25, 25, 1, maxMS, nil)
+		return runGate(analysis.Config{}, nil, basePath, candPath, "", 0.25, 25, 1, maxMS, nil)
 	}
 	if err := gate(map[string]float64{"forest": 10000, "TOTAL": 10000}); err != nil {
 		t.Fatalf("ceilings on a baseline stage and TOTAL: %v", err)
@@ -307,5 +311,91 @@ func TestParseGateMax(t *testing.T) {
 		if _, err := parseGateMax(bad); err == nil {
 			t.Fatalf("spec %q did not error", bad)
 		}
+	}
+}
+
+// TestGateShape: a measuring gate runs at the baseline record's seed,
+// scale, k and trees. Only a shape flag set explicitly to another value
+// is an error, and the error names both values.
+func TestGateShape(t *testing.T) {
+	base := benchRecord{Seed: 1, Scale: 0.25, K: 9, Trees: 100}
+	want := analysis.Config{Seed: 1, Scale: 0.25, K: 9, ForestTrees: 100}
+	for _, tc := range []struct {
+		name     string
+		base     benchRecord
+		cfg      analysis.Config
+		explicit []string
+		wantErr  []string // substrings of the error; nil means success
+	}{
+		{name: "defaults", base: base, cfg: want},
+		{name: "unset flags defer to the baseline", base: base,
+			cfg: analysis.Config{Seed: 3, Scale: 0.1, K: 4, ForestTrees: 25}},
+		{name: "explicit flags equal to the baseline", base: base, cfg: want,
+			explicit: []string{"seed", "scale", "k", "trees"}},
+		{name: "other explicit flags", base: base,
+			cfg: analysis.Config{Scale: 0.1}, explicit: []string{"quiet", "gateruns"}},
+		{name: "seed conflict", base: base,
+			cfg: analysis.Config{Seed: 2, Scale: 0.25, K: 9, ForestTrees: 100}, explicit: []string{"seed"},
+			wantErr: []string{"-seed 2", "seed 1"}},
+		{name: "scale conflict", base: base,
+			cfg: analysis.Config{Seed: 1, Scale: 0.1, K: 9, ForestTrees: 100}, explicit: []string{"scale"},
+			wantErr: []string{"-scale 0.1", "scale 0.25"}},
+		{name: "k conflict", base: base,
+			cfg: analysis.Config{Seed: 1, Scale: 0.25, K: 7, ForestTrees: 100}, explicit: []string{"k"},
+			wantErr: []string{"-k 7", "k 9"}},
+		{name: "trees conflict", base: base,
+			cfg: analysis.Config{Seed: 1, Scale: 0.25, K: 9, ForestTrees: 25}, explicit: []string{"trees"},
+			wantErr: []string{"-trees 25", "trees 100"}},
+		{name: "baseline without a pipeline shape", base: benchRecord{Seed: 1, Scale: 0.1, Trees: 25},
+			cfg: want, wantErr: []string{"no pipeline shape"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			explicit := map[string]bool{}
+			for _, name := range tc.explicit {
+				explicit[name] = true
+			}
+			got, err := gateShape(tc.base, tc.cfg, explicit)
+			if tc.wantErr == nil {
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("config %+v, want %+v", got, want)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("config %+v accepted, want an error", got)
+			}
+			for _, sub := range tc.wantErr {
+				if !strings.Contains(err.Error(), sub) {
+					t.Fatalf("error %q does not name %q", err, sub)
+				}
+			}
+		})
+	}
+}
+
+// TestRunGateShapeRule: runGate rejects a conflicting explicit -scale
+// before it runs the pipeline, and a -gatecompare run, which measures
+// nothing, ignores the shape flags.
+func TestRunGateShapeRule(t *testing.T) {
+	base, cand := gateFixture()
+	base.Seed, base.Scale, base.K, base.Trees = 1, 0.25, 9, 100
+	dir := t.TempDir()
+	basePath, candPath := writeRecord(t, dir, "base.json", base), writeRecord(t, dir, "cand.json", cand)
+	cfg := analysis.Config{Seed: 1, Scale: 0.1, K: 9, ForestTrees: 100}
+	explicit := map[string]bool{"scale": true}
+
+	before := obs.Counters()["pipe.stages"]
+	err := runGate(cfg, explicit, basePath, "", "", 0.25, 25, 1, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "-scale 0.1") || !strings.Contains(err.Error(), "scale 0.25") {
+		t.Fatalf("conflicting -scale: err = %v, want one naming 0.1 and 0.25", err)
+	}
+	if after := obs.Counters()["pipe.stages"]; after != before {
+		t.Fatalf("the pipeline ran %d stage(s) before the shape was rejected", after-before)
+	}
+	if err := runGate(cfg, explicit, basePath, candPath, "", 0.25, 25, 1, nil, nil); err != nil {
+		t.Fatalf("-gatecompare with a conflicting -scale: %v", err)
 	}
 }

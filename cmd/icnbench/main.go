@@ -7,29 +7,32 @@
 //
 //	icnbench [-seed N] [-scale F] [-k N] [-trees N] [-out DIR] [-quiet]
 //	         [-benchjson FILE]
-//	icnbench -serve [-serveclients N] [-servereqs N] [-servebatch N]
-//	         [-servejson FILE] [-forecast=false]
-//	icnbench -shards N [-replicas M] [-shardclients N] [-shardbatches N]
-//	         [-shardrecords N] [-shardjson FILE]
+//	icnbench -gate BASELINE [-gatecompare FILE] [-gatetolerance F]
+//	         [-gatefloor MS] [-gateruns N] [-gatemax SPEC] [-gateexpect ROWS]
+//	icnbench -serve [-servejson FILE]
+//	icnbench -chaos [-chaosschedules N] [-chaosswaps N] [-chaosshards N]
+//	         [-chaosjson FILE]
+//
+// With -gate the command reruns the pipeline at the baseline record's
+// shape — its seed, scale, k and trees — and fails on per-stage wall-time
+// regressions. A shape flag set explicitly to another value is an error:
+// to gate a new shape, first write a baseline at it with -benchjson. With
+// -gatecompare it compares two existing records instead and ignores the
+// shape.
 //
 // With -serve the command instead benchmarks the online path: it stands up
 // an in-process icnserve instance around a freshly trained snapshot,
 // sustains a concurrent classify load over HTTP, drains the server
 // gracefully, and writes throughput plus p50/p99 latency to -servejson
-// (default BENCH_serve.json). Unless -forecast=false, it also times the
-// forecast-set training and sustains a /v1/forecast load with a model swap
-// landing mid-run, auditing every sampled response bit-for-bit against an
-// offline refit of the echoed revision's series; the forecast_train,
-// forecast_p50 and forecast_p99 rows gate alongside the classify rows.
+// (default BENCH_serve.json). It also times the forecast-set training and
+// sustains a /v1/forecast load with a model swap landing mid-run, auditing
+// every sampled response bit-for-bit against an offline refit of the
+// echoed revision's series; the forecast_train, forecast_p50 and
+// forecast_p99 rows gate alongside the classify rows.
 //
-// With -shards the command benchmarks the sharded nationwide tier: N
-// ingest shards on a consistent-hash ring behind M replicated serve
-// instances, a bulk probe-session load with one shard and one replica
-// killed mid-flight, a cross-shard refresh fan-out, and a full-population
-// classify audit. Unless -scale is given it runs at scale 1 — the paper's
-// 4,762 indoor and 22,000 outdoor antennas — and the default load drives
-// 2,000,000 probe sessions. Results land in -shardjson (default
-// BENCH_shard.json).
+// With -chaos the command runs the seeded fault-injection soak against a
+// live server, including a shard storm that kills a shard and a replica
+// of the sharded tier mid-soak with its invariants held.
 //
 // At -scale 1 the run uses the paper's full population (4,762 indoor and
 // 22,000 outdoor antennas); this takes a few minutes and ~1 GiB of memory.
@@ -62,22 +65,12 @@ func main() {
 	benchPath := flag.String("benchjson", "", "write a machine-readable stage-timing record to this path (optional)")
 	quiet := flag.Bool("quiet", false, "print only the check summary")
 	serveBench := flag.Bool("serve", false, "benchmark the online serving path instead of regenerating artifacts")
-	serveClients := flag.Int("serveclients", 8, "concurrent classify clients (with -serve)")
-	serveReqs := flag.Int("servereqs", 50, "requests per client (with -serve)")
-	serveBatch := flag.Int("servebatch", 64, "antennas per classify request (with -serve)")
 	serveJSON := flag.String("servejson", "BENCH_serve.json", "serving benchmark output path (with -serve)")
-	serveForecast := flag.Bool("forecast", true, "run the forecast leg — train-time row plus a /v1/forecast load with a mid-run model swap and per-revision parity audit (with -serve)")
 	chaos := flag.Bool("chaos", false, "run the seeded fault-injection soak against a live server instead of regenerating artifacts")
 	chaosSchedules := flag.Int("chaosschedules", 3, "number of seeded fault schedules (with -chaos)")
 	chaosSwaps := flag.Int("chaosswaps", 50, "refresh-driven snapshot swaps the swap-storm leg must complete with parity held (with -chaos; 0 disables the leg)")
 	chaosShards := flag.Int("chaosshards", 3, "shards in the sharded chaos leg: kills a shard and a replica mid-soak with invariants held (with -chaos; 0 disables the leg)")
 	chaosJSON := flag.String("chaosjson", "", "chaos soak record output path (with -chaos, optional)")
-	shards := flag.Int("shards", 0, "benchmark the sharded tier with this many ingest shards instead of regenerating artifacts (0 = off; defaults -scale to 1)")
-	replicas := flag.Int("replicas", 2, "serve replicas behind the shard router (with -shards)")
-	shardClients := flag.Int("shardclients", 8, "concurrent ingest clients (with -shards)")
-	shardBatches := flag.Int("shardbatches", 50, "probe batches per client (with -shards)")
-	shardRecords := flag.Int("shardrecords", 5000, "probe records per batch (with -shards)")
-	shardJSON := flag.String("shardjson", "BENCH_shard.json", "sharded benchmark output path (with -shards)")
 	gatePath := flag.String("gate", "", "baseline stage-timing JSON: rerun the pipeline and fail on per-stage wall-time regressions")
 	gateCompare := flag.String("gatecompare", "", "candidate stage-timing JSON to compare instead of rerunning (with -gate)")
 	gateTolerance := flag.Float64("gatetolerance", 0.25, "fractional slowdown allowed per stage before the gate fails (with -gate)")
@@ -86,20 +79,6 @@ func main() {
 	gateMax := flag.String("gatemax", "", "absolute per-stage wall-time ceilings as stage=ms pairs, e.g. temporal=300,selection=130 — a listed stage fails above its ceiling even inside the relative tolerance (with -gate)")
 	gateExpect := flag.String("gateexpect", "", "comma-separated gate-row schema — the candidate must carry exactly these stage rows, each once; unknown or missing rows fail the gate (with -gate)")
 	flag.Parse()
-
-	// The sharded leg models the nationwide deployment: unless -scale was
-	// given explicitly, -shards runs the paper's full population.
-	if *shards > 0 {
-		scaleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				scaleSet = true
-			}
-		})
-		if !scaleSet {
-			*scale = 1.0
-		}
-	}
 
 	cfg := analysis.Config{
 		Seed:        *seed,
@@ -114,27 +93,22 @@ func main() {
 		}
 		return
 	}
-	if *shards > 0 {
-		if err := runShardBench(cfg, *shards, *replicas, *shardClients, *shardBatches, *shardRecords, *shardJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *gatePath != "" {
 		maxMS, err := parseGateMax(*gateMax)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
 			os.Exit(1)
 		}
-		if err := runGate(cfg, *gatePath, *gateCompare, *benchPath, *gateTolerance, *gateFloor, *gateRuns, maxMS, parseGateExpect(*gateExpect)); err != nil {
+		explicit := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+		if err := runGate(cfg, explicit, *gatePath, *gateCompare, *benchPath, *gateTolerance, *gateFloor, *gateRuns, maxMS, parseGateExpect(*gateExpect)); err != nil {
 			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *serveBench {
-		if err := runServeBench(cfg, *serveClients, *serveReqs, *serveBatch, *serveJSON, *serveForecast); err != nil {
+		if err := runServeBench(cfg, *serveJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
 			os.Exit(1)
 		}

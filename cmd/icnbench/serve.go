@@ -21,6 +21,15 @@ import (
 	"repro/internal/services"
 )
 
+// The serve leg's load shape. BENCH_serve.json records it, and the
+// committed baseline was measured at these values: changing one needs a
+// new baseline (make serve-bench).
+const (
+	serveClients  = 8  // concurrent classify and forecast clients
+	serveRequests = 50 // requests per client, per load
+	serveBatch    = 64 // antennas per classify request
+)
+
 // serveBenchRecord is the BENCH_serve.json schema: one snapshot of the
 // serving path's sustained throughput and latency under concurrent load,
 // plus one warm refresh cycle. TotalMS and Stages mirror the benchRecord
@@ -47,23 +56,23 @@ type serveBenchRecord struct {
 	IngestRecords int64 `json:"ingest_records"`
 	CacheHits     int64 `json:"cache_hits"`
 
-	// Forecast leg (omitted with -forecast=false).
+	// Forecast leg.
 	ForecastRequests int     `json:"forecast_requests,omitempty"`
 	ForecastAudited  int     `json:"forecast_audited,omitempty"`
 	ForecastTrainMS  float64 `json:"forecast_train_ms,omitempty"`
 
-	// Gate-comparable rows: classify_p50, classify_p99, refresh_warm, and
-	// with the forecast leg forecast_train, forecast_p50, forecast_p99.
+	// Gate-comparable rows: classify_p50, classify_p99, refresh_warm,
+	// forecast_train, forecast_p50, forecast_p99.
 	TotalMS float64     `json:"total_ms"`
 	Stages  []stageJSON `json:"stages"`
 }
 
 // runServeBench stands up an in-process icnserve instance around a freshly
 // trained snapshot and sustains a concurrent classify load against it over
-// real HTTP — plus, with forecastLeg, a forecast load with a mid-run model
-// swap and per-revision parity audit — then writes the latency/throughput
-// record and drains the server gracefully.
-func runServeBench(cfg analysis.Config, clients, requests, batch int, outPath string, forecastLeg bool) error {
+// real HTTP — plus a forecast load with a mid-run model swap and
+// per-revision parity audit — then writes the latency/throughput record
+// and drains the server gracefully.
+func runServeBench(cfg analysis.Config, outPath string) error {
 	fmt.Fprintf(os.Stderr, "icnbench: training snapshot (seed=%d scale=%.2f trees=%d)...\n",
 		cfg.Seed, cfg.Scale, cfg.ForestTrees)
 	res, err := analysis.Run(cfg)
@@ -86,10 +95,8 @@ func runServeBench(cfg analysis.Config, clients, requests, batch int, outPath st
 	// The load uses the synthetic outdoor population's raw vectors — the
 	// exact Section 5.3 workload — cycling through the rows per request.
 	outdoor := res.Dataset.OutdoorTraffic
-	if batch > outdoor.Rows() {
-		batch = outdoor.Rows()
-	}
-	bodies := make([][]byte, clients)
+	batch := min(serveBatch, outdoor.Rows())
+	bodies := make([][]byte, serveClients)
 	for c := range bodies {
 		var req serve.ClassifyRequest
 		for i := 0; i < batch; i++ {
@@ -105,17 +112,17 @@ func runServeBench(cfg analysis.Config, clients, requests, batch int, outPath st
 	}
 
 	fmt.Fprintf(os.Stderr, "icnbench: serve load — %d clients × %d requests × %d antennas against %s\n",
-		clients, requests, batch, url)
-	latencies := make([][]float64, clients)
-	failures := make([]int, clients)
+		serveClients, serveRequests, batch, url)
+	latencies := make([][]float64, serveClients)
+	failures := make([]int, serveClients)
 	start := time.Now()
 	var loaders pipe.Tasks
-	for c := 0; c < clients; c++ {
+	for c := 0; c < serveClients; c++ {
 		c := c
 		loaders.Go(func() {
 			client := &http.Client{Timeout: 30 * time.Second}
-			lat := make([]float64, 0, requests)
-			for r := 0; r < requests; r++ {
+			lat := make([]float64, 0, serveRequests)
+			for r := 0; r < serveRequests; r++ {
 				t0 := time.Now()
 				resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(bodies[c]))
 				if err != nil {
@@ -185,7 +192,7 @@ func runServeBench(cfg analysis.Config, clients, requests, batch int, outPath st
 	st := srv.Stats()
 	rec := serveBenchRecord{
 		Seed: cfg.Seed, Scale: cfg.Scale, Trees: cfg.ForestTrees,
-		Clients: clients, RequestsPerC: requests, BatchAntennas: batch,
+		Clients: serveClients, RequestsPerC: serveRequests, BatchAntennas: batch,
 		ModelRevision: snap.Revision,
 		TotalRequests: len(all),
 		FailedReqs:    failed,
@@ -205,21 +212,19 @@ func runServeBench(cfg analysis.Config, clients, requests, batch int, outPath st
 		{Name: "refresh_warm", WallMS: refreshMS},
 	}
 
-	if forecastLeg {
-		fc, err := runForecastLeg(srv, ref, res, url, clients, requests)
-		if err != nil {
-			return fmt.Errorf("icnbench: forecast leg: %w", err)
-		}
-		rec.ForecastRequests = fc.requests
-		rec.ForecastAudited = fc.audited
-		rec.ForecastTrainMS = fc.trainMS
-		rec.TotalMS += fc.trainMS + fc.wallMS
-		rec.Stages = append(rec.Stages,
-			stageJSON{Name: "forecast_train", WallMS: fc.trainMS},
-			stageJSON{Name: "forecast_p50", WallMS: fc.p50MS},
-			stageJSON{Name: "forecast_p99", WallMS: fc.p99MS},
-		)
+	fc, err := runForecastLeg(srv, ref, res, url)
+	if err != nil {
+		return fmt.Errorf("icnbench: forecast leg: %w", err)
 	}
+	rec.ForecastRequests = fc.requests
+	rec.ForecastAudited = fc.audited
+	rec.ForecastTrainMS = fc.trainMS
+	rec.TotalMS += fc.trainMS + fc.wallMS
+	rec.Stages = append(rec.Stages,
+		stageJSON{Name: "forecast_train", WallMS: fc.trainMS},
+		stageJSON{Name: "forecast_p50", WallMS: fc.p50MS},
+		stageJSON{Name: "forecast_p99", WallMS: fc.p99MS},
+	)
 
 	shutdownStart := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -267,7 +272,7 @@ type fcObs struct {
 // Result.RefitForecasts) — the chaos-style parity contract: a served
 // forecast is exactly what forecast.Fit produces on that revision's data,
 // across a snapshot swap.
-func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Result, url string, clients, requests int) (forecastLegResult, error) {
+func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Result, url string) (forecastLegResult, error) {
 	var out forecastLegResult
 
 	// Train-time row: refit the forecast set offline from the base
@@ -288,9 +293,9 @@ func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Resul
 
 	horizons := []int{24, 48, 168}
 	var done atomic.Int64
-	latencies := make([][]float64, clients)
-	samples := make([][]fcObs, clients)
-	failures := make([]int, clients)
+	latencies := make([][]float64, serveClients)
+	samples := make([][]fcObs, serveClients)
+	failures := make([]int, serveClients)
 	query := func(client *http.Client, cluster, horizon int) (fcObs, float64, error) {
 		body, err := json.Marshal(serve.ForecastRequest{Cluster: &cluster, Horizon: horizon})
 		if err != nil {
@@ -315,14 +320,14 @@ func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Resul
 	}
 
 	fmt.Fprintf(os.Stderr, "icnbench: forecast load — %d clients × %d requests with a mid-run swap\n",
-		clients, requests)
+		serveClients, serveRequests)
 	loadStart := time.Now()
 	var loaders pipe.Tasks
-	for c := 0; c < clients; c++ {
+	for c := 0; c < serveClients; c++ {
 		c := c
 		loaders.Go(func() {
 			client := &http.Client{Timeout: 30 * time.Second}
-			for r := 0; r < requests; r++ {
+			for r := 0; r < serveRequests; r++ {
 				obs, lat, err := query(client, (c+r)%res.K, horizons[r%len(horizons)])
 				done.Add(1)
 				if err != nil {
@@ -341,7 +346,7 @@ func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Resul
 	// Land a model swap mid-run: wait for a third of the load to complete,
 	// fold a fresh ingest batch and run one warm refresh. Requests issued
 	// after the swap echo (and must match) the new revision.
-	total := int64(clients * requests)
+	total := int64(serveClients * serveRequests)
 	for done.Load() < total/3 {
 		time.Sleep(time.Millisecond)
 	}

@@ -42,23 +42,3 @@ func TestChaosSoak(t *testing.T) {
 			len(rec.Schedules), rec.SwapStorm != nil, rec.ShardStorm != nil)
 	}
 }
-
-// TestShardBench runs the sharded-tier leg once at a small shape. Every
-// batch is retried until acked, so 2 clients × 6 batches × 500 records
-// must all be acked and folded, across one shard kill and one replica kill.
-func TestShardBench(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "shard.json")
-	cfg := analysis.Config{Seed: 7, Scale: 0.05, ForestTrees: 15}
-	if err := runShardBench(cfg, 3, 2, 2, 6, 500, path); err != nil {
-		t.Fatal(err)
-	}
-	var rec shardBenchRecord
-	readRecord(t, path, &rec)
-	if rec.AckedRecords != 6000 || rec.FoldedRecords != 6000 {
-		t.Fatalf("acked %d, folded %d records; want 6000 each", rec.AckedRecords, rec.FoldedRecords)
-	}
-	if rec.ShardKills < 1 || rec.ReplicaKills < 1 {
-		t.Errorf("the router counted %d shard and %d replica kills, want at least 1 each",
-			rec.ShardKills, rec.ReplicaKills)
-	}
-}

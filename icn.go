@@ -81,7 +81,7 @@
 //
 // To run the sharded nationwide tier — N ingest shards on a consistent-hash
 // ring behind M replicated serve instances all publishing one model
-// revision (see also cmd/icnbench -shards and examples/sharding):
+// revision (see also examples/sharding):
 //
 //	router, err := icn.NewRouter(snap, result, icn.ShardConfig{Shards: 4, Replicas: 2})
 //	if err != nil {

@@ -418,6 +418,14 @@ func TestRouterParityFanoutAndFailover(t *testing.T) {
 	if st.Ring.Alive != 2 {
 		t.Fatalf("ring alive %d, want 2", st.Ring.Alive)
 	}
+	// Exactly the kills that happened: two replicas and one shard. The
+	// refused kill of the last replica is not counted.
+	if got := rt.Metrics().Counter("shard.replica.kills"); got != 2 {
+		t.Errorf("shard.replica.kills = %d, want 2", got)
+	}
+	if got := rt.Metrics().Counter("shard.kills"); got != 1 {
+		t.Errorf("shard.kills = %d, want 1", got)
+	}
 }
 
 // TestRouterBackpressure429: full shard queues reject whole batches with

@@ -3,7 +3,9 @@
 #
 # Reruns the pipeline at the committed baseline's shape and fails (exit 1,
 # with a per-stage table) when any stage — or the total — slows beyond the
-# tolerance. The candidate takes the per-stage best over BENCH_GATE_RUNS
+# tolerance. The shape (seed, scale, k, trees) is read from the baseline
+# record itself, so the gate cannot measure one shape against a baseline
+# of another. The candidate takes the per-stage best over BENCH_GATE_RUNS
 # reruns, and stages under the floor are held to the floor's limit, so
 # scheduler noise on shared runners doesn't trip the gate.
 #
@@ -16,52 +18,35 @@
 # forecast_p99 — a leg that stops emitting a gated row, or grows a row
 # nothing ratchets, fails here instead of drifting.
 #
-# A third leg reruns the sharded nationwide benchmark at scale 1.0 (4
-# shards, 2 replicas, 2M probe sessions with mid-run kills) and gates its
-# shard_ingest / shard_classify_p50 / shard_classify_p99 / shard_refresh
-# rows against the committed BENCH_shard.json. This leg trains the full
-# population and takes minutes; set BENCH_GATE_SHARD_BASELINE="" to skip.
-#
 # Knobs (environment):
-#   BENCH_GATE_SEED           generator seed              (default 1)
-#   BENCH_GATE_SCALE          antenna-population scale    (default 0.25)
-#   BENCH_GATE_TREES          surrogate forest size       (default 100)
 #   BENCH_GATE_TOLERANCE      allowed fractional slowdown (default 0.25 = +25%)
 #   BENCH_GATE_FLOOR_MS       per-stage noise floor in ms (default 120)
 #   BENCH_GATE_RUNS           reruns, best wall gated     (default 2)
 #   BENCH_GATE_MAX            absolute per-stage ceilings as stage=ms pairs
 #                             (default "temporal=300,selection=130,outdoor=40"
-#                             — the rebuilt hot stages' budget at the default
-#                             scale-0.25 shape; outdoor, the offline caller
-#                             of the batch predict kernel, sits under the
-#                             120 ms floor and has no other gate; set empty
-#                             to disable, and override when gating a
-#                             non-default shape)
+#                             — the rebuilt hot stages' budget at the
+#                             committed scale-0.25 shape; outdoor, the
+#                             offline caller of the batch predict kernel,
+#                             sits under the 120 ms floor and has no other
+#                             gate; set empty to disable, and override when
+#                             gating a baseline of another shape)
 #   BENCH_GATE_BASELINE       baseline JSON               (default BENCH_baseline.json)
 #   BENCH_GATE_SERVE_BASELINE serving baseline JSON       (default BENCH_serve.json;
 #                             set empty to skip the serving leg)
-#   BENCH_GATE_SHARD_BASELINE sharded baseline JSON       (default BENCH_shard.json;
-#                             set empty to skip the sharded leg)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SEED="${BENCH_GATE_SEED:-1}"
-SCALE="${BENCH_GATE_SCALE:-0.25}"
-TREES="${BENCH_GATE_TREES:-100}"
 TOLERANCE="${BENCH_GATE_TOLERANCE:-0.25}"
 FLOOR_MS="${BENCH_GATE_FLOOR_MS:-120}"
 RUNS="${BENCH_GATE_RUNS:-2}"
 GATE_MAX="${BENCH_GATE_MAX-temporal=300,selection=130,outdoor=40}"
 BASELINE="${BENCH_GATE_BASELINE:-BENCH_baseline.json}"
 SERVE_BASELINE="${BENCH_GATE_SERVE_BASELINE-BENCH_serve.json}"
-SHARD_BASELINE="${BENCH_GATE_SHARD_BASELINE-BENCH_shard.json}"
 
-# Pinned gate-row schemas for the serving and sharded records.
+# Pinned gate-row schema for the serving record.
 SERVE_ROWS="classify_p50,classify_p99,refresh_warm,forecast_train,forecast_p50,forecast_p99"
-SHARD_ROWS="shard_ingest,shard_classify_p50,shard_classify_p99,shard_refresh"
 
 go run ./cmd/icnbench \
-  -seed "$SEED" -scale "$SCALE" -trees "$TREES" \
   -gate "$BASELINE" \
   -gatetolerance "$TOLERANCE" \
   -gatefloor "$FLOOR_MS" \
@@ -79,17 +64,4 @@ if [[ -n "$SERVE_BASELINE" && -f "$SERVE_BASELINE" ]]; then
     -gatetolerance "$TOLERANCE" \
     -gatefloor "$FLOOR_MS" \
     -gateexpect "$SERVE_ROWS"
-fi
-
-if [[ -n "$SHARD_BASELINE" && -f "$SHARD_BASELINE" ]]; then
-  echo "bench gate: sharded leg (baseline $SHARD_BASELINE, scale 1.0 — this takes minutes)"
-  shard_json="$(mktemp)"
-  trap 'rm -f "${serve_json:-}" "$shard_json"' EXIT
-  # Same shape as `make shard-bench`, which refreshes the baseline.
-  go run ./cmd/icnbench -shards 4 -replicas 2 -shardjson "$shard_json"
-  go run ./cmd/icnbench \
-    -gate "$SHARD_BASELINE" -gatecompare "$shard_json" \
-    -gatetolerance "$TOLERANCE" \
-    -gatefloor "$FLOOR_MS" \
-    -gateexpect "$SHARD_ROWS"
 fi
