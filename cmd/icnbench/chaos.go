@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -23,13 +25,15 @@ import (
 	"repro/internal/synth"
 )
 
-// The chaos soak stands up a live icnserve instance plus a TCP collector,
-// runs N seeded fault schedules against them (injected dial refusals,
-// mid-stream resets, ingest/fold/classify latency, queue pressure, and
-// racing model swaps), and asserts three contracts per schedule:
+// The chaos soak stands up live servers (plus a TCP collector) and drives
+// three kinds of leg against them under seeded fault rules (injected dial
+// refusals, mid-stream resets, ingest/fold/classify latency, queue
+// pressure): N fault schedules racing model swaps, a swap storm of
+// refresh-published revisions, and a shard storm that kills a shard and a
+// replica of the sharded tier. Every leg asserts the same contracts:
 //
 //  1. Every 202-acked ingest batch survives a graceful shutdown — the
-//     aggregate holds exactly acked×batch records.
+//     aggregate holds exactly the acked records.
 //  2. Served clusters stay bit-identical to the offline pipeline's
 //     Result.OutdoorLabels for whichever model revision the response
 //     echoes, even while swaps race in-flight requests.
@@ -37,11 +41,24 @@ import (
 //     data or deadlocking — every leg and the final drain finish inside a
 //     hard deadline.
 //
+// Each check is written once: classifyAuditor holds (2); soak.end bounds
+// the drain (3), then checks the folds against ingestPoster's acks (1).
+//
 // The fault decision streams are pure functions of the printed seed
 // (fault.Digest over the same rules reproduces them without a server), so
-// a failing schedule is rerun exactly with the reproduce line the driver
+// a failing leg is rerun exactly with the reproduce line runChaos
 // prints. Which request consumes the n-th decision remains
 // scheduling-dependent; the digest pins the plan, not the interleaving.
+
+const (
+	stormSwaps     = 50  // refresh-published swaps the swap storm must complete
+	stormShards    = 3   // the shard storm's ring; it kills the last shard
+	stormBatch     = 25  // records in every storm ingest batch
+	ingestAttempts = 200 // posts of one ingest batch before it counts as lost
+)
+
+// soakClient sends every soak request; outliving its timeout fails a leg.
+var soakClient = &http.Client{Timeout: 30 * time.Second}
 
 // chaosRules is the fixed fault schedule shape shared by every run; only
 // the seed varies between schedules.
@@ -70,54 +87,50 @@ func scheduleSeed(base uint64, i int) uint64 {
 	return x
 }
 
+// legCounts are the counts every leg records. The record types embed it,
+// so its keys sit flat beside each leg's own in the -chaosjson output.
+type legCounts struct {
+	Seed           string `json:"seed"`
+	Swaps          int    `json:"swaps"`
+	ClassifyOK     int    `json:"classify_ok"`
+	ClassifyShed   int    `json:"classify_shed"`
+	InjectedErrs   int    `json:"injected_errs"`
+	InjectedDelays int    `json:"injected_delays"`
+}
+
 // chaosScheduleRecord is one schedule's outcome in the -chaosjson output.
 type chaosScheduleRecord struct {
-	Seed            string `json:"seed"`
+	legCounts
 	Digest          string `json:"digest"`
 	AckedBatches    int    `json:"acked_batches"`
 	RejectedBatches int    `json:"rejected_batches"`
 	FoldedRecords   int    `json:"folded_records"`
-	ClassifyOK      int    `json:"classify_ok"`
-	ClassifyShed    int    `json:"classify_shed"`
-	Swaps           int    `json:"swaps"`
 	ExportBatches   int    `json:"export_batches"`
 	ExportRetries   int    `json:"export_retries"`
-	InjectedErrs    int    `json:"injected_errs"`
-	InjectedDelays  int    `json:"injected_delays"`
 }
 
 // swapStormRecord is the refresh swap-storm leg's outcome in the
 // -chaosjson output.
 type swapStormRecord struct {
-	Seed           string `json:"seed"`
-	Swaps          int    `json:"swaps"`
-	Refreshes      int    `json:"refreshes"`
-	Escalations    int    `json:"escalations"`
-	ClassifyOK     int    `json:"classify_ok"`
-	ClassifyShed   int    `json:"classify_shed"`
-	RevisionsSeen  int    `json:"revisions_seen"`
-	InjectedErrs   int    `json:"injected_errs"`
-	InjectedDelays int    `json:"injected_delays"`
+	legCounts
+	Refreshes     int `json:"refreshes"`
+	Escalations   int `json:"escalations"`
+	RevisionsSeen int `json:"revisions_seen"`
 }
 
 // shardStormRecord is the sharded chaos leg's outcome in the -chaosjson
 // output: the soak kills one shard and one replica mid-flight and holds
 // the acked-batch and per-revision parity invariants throughout.
 type shardStormRecord struct {
-	Seed           string `json:"seed"`
-	Shards         int    `json:"shards"`
-	Replicas       int    `json:"replicas"`
-	RingDigest     string `json:"ring_digest"`
-	AckedBatches   int    `json:"acked_batches"`
-	RejectedBatch  int    `json:"rejected_batches"`
-	FoldedRecords  int    `json:"folded_records"`
-	ClassifyOK     int    `json:"classify_ok"`
-	ClassifyShed   int    `json:"classify_shed"`
-	Failovers      int64  `json:"failovers"`
-	Swaps          int    `json:"swaps"`
-	RevisionsSeen  int    `json:"revisions_seen"`
-	InjectedErrs   int    `json:"injected_errs"`
-	InjectedDelays int    `json:"injected_delays"`
+	legCounts
+	Shards        int    `json:"shards"`
+	Replicas      int    `json:"replicas"`
+	RingDigest    string `json:"ring_digest"`
+	AckedBatches  int    `json:"acked_batches"`
+	RejectedBatch int    `json:"rejected_batches"`
+	FoldedRecords int    `json:"folded_records"`
+	Failovers     int64  `json:"failovers"`
+	RevisionsSeen int    `json:"revisions_seen"`
 }
 
 // chaosRecord is the -chaosjson schema.
@@ -129,21 +142,33 @@ type chaosRecord struct {
 	RevisionA  uint64                `json:"revision_a"`
 	RevisionB  uint64                `json:"revision_b"`
 	Schedules  []chaosScheduleRecord `json:"schedules"`
-	SwapStorm  *swapStormRecord      `json:"swap_storm,omitempty"`
-	ShardStorm *shardStormRecord     `json:"shard_storm,omitempty"`
+	SwapStorm  swapStormRecord       `json:"swap_storm"`
+	ShardStorm shardStormRecord      `json:"shard_storm"`
+}
+
+// chaosEnv is what every leg shares: the fault rules, the snapshot pair
+// with their offline results, and the classify request.
+type chaosEnv struct {
+	rules map[fault.Site]fault.Rule
+	snaps [2]*serve.ModelSnapshot
+	res   [2]*analysis.Result
+	body  []byte
+	ids   []uint32
 }
 
 // runChaos trains two model snapshots (a "retrain" pair over the same
 // synthetic population) and soaks them under schedules seeded fault plans,
-// then runs the refresher swap storm: swaps consecutive refresh-driven
-// snapshot publishes raced against classify load under the same fault
-// rules, each response audited against the offline result of whichever
-// revision it echoes.
-func runChaos(cfg analysis.Config, schedules, swaps, chaosShards int, outPath string) error {
+// then runs the refresher swap storm (stormSwaps consecutive
+// refresh-driven snapshot publishes raced against classify load) and the
+// shard storm (a stormShards-shard tier losing a shard and a replica
+// mid-flight), all under the same fault rules, each classify response
+// audited against the offline result of whichever revision it echoes.
+func runChaos(cfg analysis.Config, schedules int, outPath string) error {
 	if schedules <= 0 {
 		schedules = 3
 	}
 	rules := chaosRules()
+	var err error
 	plan := uint64(0xcbf29ce484222325)
 	for i := 0; i < schedules; i++ {
 		d := fault.Digest(scheduleSeed(cfg.Seed, i), rules, 512)
@@ -154,93 +179,63 @@ func runChaos(cfg analysis.Config, schedules, swaps, chaosShards int, outPath st
 	fmt.Fprintf(os.Stderr, "icnbench: training snapshot pair (seed=%d scale=%.2f trees=%d/%d)...\n",
 		cfg.Seed, cfg.Scale, cfg.ForestTrees, cfg.ForestTrees+2)
 	synthCfg := synth.Config{Seed: cfg.Seed, Scale: cfg.Scale, OutdoorCount: 120}
-	resA, err := analysis.RunOnDataset(synth.Generate(synthCfg), cfg)
-	if err != nil {
-		return err
+	env := &chaosEnv{rules: rules}
+	for i := range env.res {
+		c := cfg
+		c.ForestTrees += 2 * i
+		if env.res[i], err = analysis.RunOnDataset(synth.Generate(synthCfg), c); err != nil {
+			return err
+		}
+		if env.snaps[i], err = serve.NewModelSnapshot(env.res[i]); err != nil {
+			return err
+		}
 	}
-	cfgB := cfg
-	cfgB.ForestTrees = cfg.ForestTrees + 2
-	resB, err := analysis.RunOnDataset(synth.Generate(synthCfg), cfgB)
-	if err != nil {
-		return err
-	}
-	snapA, err := serve.NewModelSnapshot(resA)
-	if err != nil {
-		return err
-	}
-	snapB, err := serve.NewModelSnapshot(resB)
-	if err != nil {
-		return err
-	}
+	snapA, snapB := env.snaps[0], env.snaps[1]
 	if snapA.Revision == snapB.Revision {
 		return fmt.Errorf("icnbench: chaos needs two distinct model revisions, both fingerprint to %#x", snapA.Revision)
 	}
-	// Offline ground truth per revision: invariant 2 checks every classify
-	// response against the labels of the model revision it echoes.
-	labels := map[uint64][]int{
-		snapA.Revision: resA.OutdoorLabels,
-		snapB.Revision: resB.OutdoorLabels,
+	if env.body, env.ids, err = classifyBody(env.res[0]); err != nil {
+		return err
 	}
 
 	rec := chaosRecord{
 		Seed: cfg.Seed, Scale: cfg.Scale, Trees: cfg.ForestTrees,
 		PlanDigest: fmt.Sprintf("%#016x", plan),
 		RevisionA:  snapA.Revision, RevisionB: snapB.Revision,
+		Schedules: make([]chaosScheduleRecord, schedules),
 	}
-	reproduce := fmt.Sprintf("go run ./cmd/icnbench -chaos -seed %d -chaosschedules %d -chaosswaps %d -chaosshards %d -scale %g -trees %d",
-		cfg.Seed, schedules, swaps, chaosShards, cfg.Scale, cfg.ForestTrees)
-	for i := 0; i < schedules; i++ {
-		si := scheduleSeed(cfg.Seed, i)
-		sr, err := runChaosSchedule(si, rules, snapA, snapB, resA, labels)
-		if err != nil {
-			fmt.Printf("icnbench: chaos schedule %d FAILED (seed %#016x): %v\n", i, si, err)
-			fmt.Printf("icnbench: reproduce with: %s\n", reproduce)
-			return fmt.Errorf("icnbench: chaos schedule %d: %w", i, err)
-		}
-		sr.Digest = fmt.Sprintf("%#016x", fault.Digest(si, rules, 512))
-		fmt.Printf("icnbench: chaos schedule %d OK — seed %#016x acked=%d rejected=%d folded=%d classify_ok=%d shed=%d swaps=%d exports=%d retries=%d faults(err=%d delay=%d)\n",
-			i, si, sr.AckedBatches, sr.RejectedBatches, sr.FoldedRecords,
-			sr.ClassifyOK, sr.ClassifyShed, sr.Swaps, sr.ExportBatches, sr.ExportRetries,
-			sr.InjectedErrs, sr.InjectedDelays)
-		rec.Schedules = append(rec.Schedules, sr)
+	// Leg i runs on scheduleSeed(seed, i): schedules, then the two storms.
+	type leg struct {
+		name string
+		out  any
+		run  func(seed uint64) error
 	}
+	var legs []leg
+	for i := range rec.Schedules {
+		out := &rec.Schedules[i]
+		legs = append(legs, leg{fmt.Sprintf("schedule %d", i), out, func(seed uint64) error { return env.schedule(seed, out) }})
+	}
+	legs = append(legs,
+		leg{"swap storm", &rec.SwapStorm, func(seed uint64) error { return env.swapStorm(seed, &rec.SwapStorm) }},
+		leg{"shard storm", &rec.ShardStorm, func(seed uint64) error { return env.shardStorm(seed, &rec.ShardStorm) }})
 
-	if swaps > 0 {
-		stormSeed := scheduleSeed(cfg.Seed, schedules)
-		ss, err := runSwapStorm(stormSeed, rules, resA, swaps)
-		if err != nil {
-			fmt.Printf("icnbench: chaos swap storm FAILED (seed %#016x): %v\n", stormSeed, err)
+	reproduce := fmt.Sprintf("go run ./cmd/icnbench -chaos -seed %d -chaosschedules %d -scale %g -trees %d",
+		cfg.Seed, schedules, cfg.Scale, cfg.ForestTrees)
+	for i, l := range legs {
+		seed := scheduleSeed(cfg.Seed, i)
+		if err := l.run(seed); err != nil {
+			fmt.Printf("icnbench: chaos %s FAILED (seed %#016x): %v\n", l.name, seed, err)
 			fmt.Printf("icnbench: reproduce with: %s\n", reproduce)
-			return fmt.Errorf("icnbench: chaos swap storm: %w", err)
+			return fmt.Errorf("icnbench: chaos %s: %w", l.name, err)
 		}
-		fmt.Printf("icnbench: chaos swap storm OK — seed %#016x swaps=%d refreshes=%d escalations=%d classify_ok=%d shed=%d revisions_seen=%d faults(err=%d delay=%d)\n",
-			stormSeed, ss.Swaps, ss.Refreshes, ss.Escalations, ss.ClassifyOK, ss.ClassifyShed,
-			ss.RevisionsSeen, ss.InjectedErrs, ss.InjectedDelays)
-		rec.SwapStorm = &ss
+		summary, _ := json.Marshal(l.out) // flat ints and strings: cannot fail
+		fmt.Printf("icnbench: chaos %s OK — %s\n", l.name, summary)
 	}
-
-	if chaosShards > 0 {
-		shardSeed := scheduleSeed(cfg.Seed, schedules+1)
-		sh, err := runShardStorm(shardSeed, rules, resA, chaosShards)
-		if err != nil {
-			fmt.Printf("icnbench: chaos shard storm FAILED (seed %#016x): %v\n", shardSeed, err)
-			fmt.Printf("icnbench: reproduce with: %s\n", reproduce)
-			return fmt.Errorf("icnbench: chaos shard storm: %w", err)
-		}
-		fmt.Printf("icnbench: chaos shard storm OK — seed %#016x ring=%s acked=%d rejected=%d folded=%d classify_ok=%d shed=%d failovers=%d swaps=%d revisions=%d faults(err=%d delay=%d)\n",
-			shardSeed, sh.RingDigest, sh.AckedBatches, sh.RejectedBatch, sh.FoldedRecords,
-			sh.ClassifyOK, sh.ClassifyShed, sh.Failovers, sh.Swaps, sh.RevisionsSeen,
-			sh.InjectedErrs, sh.InjectedDelays)
-		rec.ShardStorm = &sh
-	}
-	fmt.Printf("icnbench: chaos PASS — %d schedules, all invariants held; reproduce with: %s\n", schedules, reproduce)
+	fmt.Printf("icnbench: chaos PASS — %d schedules, the swap storm and the shard storm held every invariant; reproduce with: %s\n",
+		schedules, reproduce)
 
 	if outPath != "" {
-		data, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
+		if err := writeJSON(outPath, rec); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "icnbench: wrote chaos record to %s\n", outPath)
@@ -248,184 +243,359 @@ func runChaos(cfg analysis.Config, schedules, swaps, chaosShards int, outPath st
 	return nil
 }
 
-// chaosExportRecords builds one exporter batch tagged with the batch index
-// so partial deliveries from retried attempts stay distinguishable.
-func chaosExportRecords(batch, n int) []probe.Record {
+// classifyBody classifies the first (up to) 32 outdoor antennas as ids 0..n-1.
+func classifyBody(res *analysis.Result) ([]byte, []uint32, error) {
+	outdoor := res.Dataset.OutdoorTraffic
+	var req serve.ClassifyRequest
+	var ids []uint32
+	for i := 0; i < min(32, outdoor.Rows()); i++ {
+		req.Antennas = append(req.Antennas, serve.AntennaVector{ID: uint32(i), Traffic: outdoor.Row(i)})
+		ids = append(ids, uint32(i))
+	}
+	body, err := json.Marshal(req)
+	return body, ids, err
+}
+
+// errCollector keeps the first failure of a leg's concurrent parts.
+type errCollector struct {
+	mu    sync.Mutex
+	first error
+}
+
+func (e *errCollector) fail(err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.first == nil {
+		e.first = err
+	}
+}
+
+func (e *errCollector) err() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.first
+}
+
+// soak is the harness every leg runs in. The storms' classify clients run
+// on clients until end closes stop.
+type soak struct {
+	errCollector
+	ctx     context.Context
+	inj     *fault.Injector
+	counts  *legCounts
+	audit   *classifyAuditor
+	ingest  *ingestPoster
+	stop    chan struct{}
+	clients pipe.Tasks
+}
+
+// newSoak starts a leg that records into c: its injector and its outer
+// deadline (invariant 3: nothing in the leg may hang past it).
+func (e *chaosEnv) newSoak(seed uint64, c *legCounts, deadline time.Duration) (*soak, context.CancelFunc) {
+	c.Seed = fmt.Sprintf("%#016x", seed)
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	s := &soak{ctx: ctx, inj: fault.New(seed, e.rules), counts: c, stop: make(chan struct{})}
+	s.audit = &classifyAuditor{body: e.body, ids: e.ids, errs: &s.errCollector, revs: map[uint64]bool{}}
+	return s, cancel
+}
+
+// aim points the ingest poster and the classify auditor at url.
+func (s *soak) aim(url string, labels func(rev uint64) ([]int, bool)) {
+	s.ingest = &ingestPoster{url: url}
+	s.audit.url, s.audit.labels = url, labels
+}
+
+// end stops the clients and drains within 30 s: an overrun is a possible
+// deadlock (invariant 3). Then the drained sinks must hold exactly the
+// acked records, no more, no fewer (invariant 1). It returns that count.
+func (s *soak) end(shutdown func(context.Context) error, folded func() int) int {
+	close(s.stop)
+	s.clients.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := shutdown(ctx); err != nil {
+		s.fail(fmt.Errorf("shutdown under fault (possible deadlock): %w", err))
+	}
+	n := folded()
+	if n != s.ingest.records {
+		s.fail(fmt.Errorf("acked-batch loss: sinks hold %d records, want %d (%d acked batches)",
+			n, s.ingest.records, s.ingest.acked))
+	}
+	s.counts.ClassifyOK, s.counts.ClassifyShed = s.audit.ok, s.audit.shed
+	for _, st := range s.inj.Stats() {
+		s.counts.InjectedErrs += int(st.Errs)
+		s.counts.InjectedDelays += int(st.Delays)
+	}
+	return n
+}
+
+// postStorm posts storm batch iter; one that never lands fails the leg.
+func (s *soak) postStorm(iter, volumes int, antenna func(j int) int) bool {
+	if err := s.ingest.post(s.ctx, probeRecords(iter, stormBatch, volumes, antenna)); err != nil {
+		s.fail(fmt.Errorf("ingest %d: %w", iter, err))
+		return false
+	}
+	return true
+}
+
+// refreshUntil runs ingest → fold → refresh cycles until want swaps land,
+// failing the leg after maxIters. It waits while pending, as an ack is a
+// durability promise, not a visibility one. It returns every outcome.
+func (s *soak) refreshUntil(want, maxIters int, ingest func(iter int) bool, pending func() bool,
+	refreshOnce func(context.Context) (serve.RefreshOutcome, error),
+) []serve.RefreshOutcome {
+	var outs []serve.RefreshOutcome
+	for iter, swaps := 0, 0; swaps < want && s.err() == nil; iter++ {
+		if iter >= maxIters {
+			s.fail(fmt.Errorf("only %d/%d swaps after %d refresh attempts", swaps, want, iter))
+			break
+		}
+		if !ingest(iter) {
+			break
+		}
+		for pending() && s.ctx.Err() == nil {
+			time.Sleep(time.Millisecond)
+		}
+		ctx, cancel := context.WithTimeout(s.ctx, 2*time.Minute)
+		ro, err := refreshOnce(ctx)
+		cancel()
+		if err != nil {
+			s.fail(fmt.Errorf("refresh %d: %w", iter, err))
+			break
+		}
+		outs = append(outs, ro)
+		if ro.Swapped {
+			swaps++
+		}
+	}
+	return outs
+}
+
+// classifyAuditor is the soak's one classify client and its one check of
+// invariant 2. 503 is sanctioned shedding (injected latency past the
+// deadline, or a replica dying under the proxy). A 200 must answer the
+// requested antennas in request order with the offline labels of the
+// revision it echoes in both model_revision and X-Icn-Revision.
+type classifyAuditor struct {
+	url    string
+	body   []byte
+	ids    []uint32
+	labels func(rev uint64) ([]int, bool)
+	errs   *errCollector
+
+	// mu guards the counts below while clients run.
+	mu       sync.Mutex
+	ok, shed int
+	revs     map[uint64]bool
+}
+
+// resultLabels adapts a ResultFor registry to the auditor's label lookup.
+func resultLabels(resultFor func(uint64) (*analysis.Result, bool)) func(uint64) ([]int, bool) {
+	return func(rev uint64) ([]int, bool) {
+		res, ok := resultFor(rev)
+		if !ok {
+			return nil, false
+		}
+		return res.OutdoorLabels, true
+	}
+}
+
+// run starts clients classify clients on tasks; each stops after
+// requests requests (if > 0), when stop closes, or at its first failure.
+func (a *classifyAuditor) run(tasks *pipe.Tasks, clients, requests int, stop <-chan struct{}) {
+	for c := 0; c < clients; c++ {
+		tasks.Go(func() {
+			for r := 0; requests <= 0 || r < requests; r++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := a.once(); err != nil {
+					a.errs.fail(fmt.Errorf("classify client %d: %w", c, err))
+					return
+				}
+			}
+		})
+	}
+}
+
+// once posts the classify body once and audits the answer.
+func (a *classifyAuditor) once() error {
+	resp, err := soakClient.Post(a.url+"/v1/classify", "application/json", bytes.NewReader(a.body))
+	if err != nil {
+		return err
+	}
+	body, _ := io.ReadAll(resp.Body) // a short read fails the decode below
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusServiceUnavailable {
+		a.mu.Lock()
+		a.shed++
+		a.mu.Unlock()
+		return nil
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d: %s", resp.StatusCode, body)
+	}
+	var cr serve.ClassifyResponse
+	if err := json.Unmarshal(body, &cr); err != nil {
+		return err
+	}
+	rev := cr.ModelRevision
+	if header := resp.Header.Get(serve.RevisionHeader); header != strconv.FormatUint(rev, 10) {
+		return fmt.Errorf("%s header %q disagrees with model_revision %d", serve.RevisionHeader, header, rev)
+	}
+	want, ok := a.labels(rev)
+	if !ok {
+		return fmt.Errorf("response echoes revision %016x with no registered offline result", rev)
+	}
+	if len(cr.Results) != len(a.ids) {
+		return fmt.Errorf("%d results under revision %016x for %d requested antennas", len(cr.Results), rev, len(a.ids))
+	}
+	for i, v := range cr.Results {
+		if int(v.ID) >= len(want) {
+			return fmt.Errorf("result %d names antenna %d, outside revision %016x's %d offline labels", i, v.ID, rev, len(want))
+		}
+		if v.ID != a.ids[i] {
+			return fmt.Errorf("result %d names antenna %d, the request sent antenna %d there", i, v.ID, a.ids[i])
+		}
+		if v.Cluster != want[v.ID] {
+			return fmt.Errorf("antenna %d served cluster %d under revision %016x, offline labels say %d",
+				v.ID, v.Cluster, rev, want[v.ID])
+		}
+	}
+	a.mu.Lock()
+	a.ok++
+	a.revs[rev] = true
+	a.mu.Unlock()
+	return nil
+}
+
+// ingestPoster posts probe batches to /v1/ingest and counts the acks
+// invariant 1 is checked against. 429 and 503 are sanctioned backpressure:
+// each is counted as a rejection and the batch is re-sent after a pause.
+type ingestPoster struct {
+	url      string
+	acked    int // batches
+	rejected int // rejections, retried ones included
+	records  int // records in acked batches
+}
+
+// post encodes recs in the probe wire format and sends them until they
+// are acked, within ingestAttempts posts.
+func (p *ingestPoster) post(ctx context.Context, recs []probe.Record) error {
+	var batch bytes.Buffer
+	pw := probe.NewWriter(&batch)
+	for _, r := range recs {
+		if err := pw.Write(r); err != nil {
+			return err
+		}
+	}
+	if err := pw.Flush(); err != nil {
+		return err
+	}
+	for attempt := 0; attempt < ingestAttempts && ctx.Err() == nil; attempt++ {
+		resp, err := soakClient.Post(p.url+"/v1/ingest", "application/octet-stream", bytes.NewReader(batch.Bytes()))
+		if err != nil {
+			return err
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+			p.acked++
+			p.records += len(recs)
+			return nil
+		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			p.rejected++
+			time.Sleep(2 * time.Millisecond)
+		default:
+			return fmt.Errorf("unexpected status %d", resp.StatusCode)
+		}
+	}
+	return errors.New("batch never acked")
+}
+
+// probeRecords builds a batch on real catalog domains, so a storm's fold
+// lands in the classified traffic matrix for the refresh; volumes growing
+// with iter keep successive folds perturbing the Eq. 5 shares.
+func probeRecords(iter, n, volumes int, antenna func(j int) int) []probe.Record {
 	recs := make([]probe.Record, n)
-	for i := range recs {
-		recs[i] = probe.Record{
-			Hour: uint32(i % 24), AntennaID: uint32(batch), Protocol: probe.TCP,
-			ServerPort: 443, ServerName: "chaos.example",
-			DownBytes: 1 << 20, UpBytes: 1 << 16,
+	for j := range recs {
+		recs[j] = probe.Record{
+			Hour: uint32(j % 24), AntennaID: uint32(antenna(j)),
+			Protocol: probe.TCP, ServerPort: 443,
+			ServerName: probe.DomainOf((iter + j) % services.M),
+			DownBytes:  (1 + uint64(iter%volumes)) << 20, UpBytes: 1 << 16,
 		}
 	}
 	return recs
 }
 
-// runChaosSchedule executes one seeded fault schedule and checks the three
-// soak invariants. All legs share one injector, so the schedule exercises
+// schedule executes one seeded fault schedule and checks the three soak
+// invariants. All legs share one injector, so the schedule exercises
 // cross-seam interleavings while each seam's decision stream stays a pure
 // function of the seed.
-func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule,
-	snapA, snapB *serve.ModelSnapshot, res *analysis.Result, labels map[uint64][]int,
-) (chaosScheduleRecord, error) {
-	var out chaosScheduleRecord
-	out.Seed = fmt.Sprintf("%#016x", seed)
-	// Invariant 3's outer bound: nothing below may hang past this.
-	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
-	defer cancel()
-
-	inj := fault.New(seed, rules)
-	srv, err := serve.New(snapA, nil, serve.Config{QueueDepth: 16, IngestWorkers: 2, Faults: inj})
-	if err != nil {
-		return out, err
-	}
-	if err := srv.Start(); err != nil {
-		return out, err
-	}
-	url := "http://" + srv.Addr().String()
-
-	col, err := collect.ListenContext(ctx, "127.0.0.1:0")
-	if err != nil {
-		_ = srv.Shutdown(ctx)
-		return out, err
-	}
-	colCtx, colCancel := context.WithCancel(ctx)
-	defer colCancel()
-	var colTasks pipe.Tasks
-	defer colTasks.Wait()
-	colTasks.Go(func() { _ = col.Serve(colCtx) })
-
+func (e *chaosEnv) schedule(seed uint64, out *chaosScheduleRecord) error {
 	const (
 		ingestBatches, ingestPerBatch = 40, 25
-		classifyClients, classifyReqs = 3, 12
-		classifyBatch                 = 32
 		swapCount                     = 8
 		exportBatches, exportPerBatch = 10, 30
 		exportAttempts                = 12
 	)
-	var ingestStream bytes.Buffer
-	pw := probe.NewWriter(&ingestStream)
-	for _, r := range chaosExportRecords(0, ingestPerBatch) {
-		if err := pw.Write(r); err != nil {
-			return out, err
-		}
+	out.Digest = fmt.Sprintf("%#016x", fault.Digest(seed, e.rules, 512))
+	ingestRecs := probeRecords(0, ingestPerBatch, 1, func(int) int { return 0 })
+	s, cancel := e.newSoak(seed, &out.legCounts, 90*time.Second)
+	defer cancel()
+	col, err := collect.ListenContext(s.ctx, "127.0.0.1:0")
+	if err != nil {
+		return err
 	}
-	if err := pw.Flush(); err != nil {
-		return out, err
+	var colTasks pipe.Tasks
+	colTasks.Go(func() { _ = col.Serve(s.ctx) })
+	defer func() { cancel(); colTasks.Wait() }()
+	srv, err := serve.New(e.snaps[0], nil, serve.Config{QueueDepth: 16, IngestWorkers: 2, Faults: s.inj})
+	if err != nil {
+		return err
 	}
-
-	outdoor := res.Dataset.OutdoorTraffic
-	nVec := classifyBatch
-	if nVec > outdoor.Rows() {
-		nVec = outdoor.Rows()
+	if err := srv.Start(); err != nil {
+		return err
 	}
-	var classifyBody []byte
-	{
-		var req serve.ClassifyRequest
-		for i := 0; i < nVec; i++ {
-			req.Antennas = append(req.Antennas, serve.AntennaVector{
-				ID: uint32(i), Traffic: outdoor.Row(i),
-			})
-		}
-		classifyBody, err = json.Marshal(req)
-		if err != nil {
-			return out, err
-		}
-	}
-
-	var (
-		mu      sync.Mutex
-		legErrs []error
-		legs    pipe.Tasks
-	)
-	fail := func(err error) {
-		mu.Lock()
-		legErrs = append(legErrs, err)
-		mu.Unlock()
-	}
-
-	// Leg 1: ingest pressure. 202s are a durability promise; 429/503 is
-	// sanctioned degradation under the injected fold delays.
-	acked := 0
-	legs.Go(func() {
-		client := &http.Client{Timeout: 30 * time.Second}
-		for b := 0; b < ingestBatches; b++ {
-			resp, err := client.Post(url+"/v1/ingest", "application/octet-stream", bytes.NewReader(ingestStream.Bytes()))
-			if err != nil {
-				fail(fmt.Errorf("ingest leg: %w", err))
-				return
+	url := "http://" + srv.Addr().String()
+	// Offline ground truth per revision: invariant 2 checks every classify
+	// response against the labels of the model revision it echoes.
+	s.aim(url, func(rev uint64) ([]int, bool) {
+		for i, snap := range e.snaps {
+			if snap.Revision == rev {
+				return e.res[i].OutdoorLabels, true
 			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusAccepted:
-				acked++
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				out.RejectedBatches++
-			default:
-				fail(fmt.Errorf("ingest leg: unexpected status %d", resp.StatusCode))
+		}
+		return nil, false
+	})
+
+	var legs pipe.Tasks
+	// Leg 1: ingest pressure against a small queue. 202s are a durability
+	// promise; 429/503 is sanctioned degradation under the injected fold
+	// delays, and the batch is re-sent.
+	legs.Go(func() {
+		for b := 0; b < ingestBatches; b++ {
+			if err := s.ingest.post(s.ctx, ingestRecs); err != nil {
+				s.fail(fmt.Errorf("ingest leg: %w", err))
 				return
 			}
 		}
 	})
 
-	// Leg 2: classify parity under racing swaps (invariant 2). Every 200
-	// must match the offline labels of the revision the response echoes.
-	classifyOK := make([]int, classifyClients)
-	classifyShed := make([]int, classifyClients)
-	for c := 0; c < classifyClients; c++ {
-		c := c
-		legs.Go(func() {
-			client := &http.Client{Timeout: 30 * time.Second}
-			for r := 0; r < classifyReqs; r++ {
-				resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(classifyBody))
-				if err != nil {
-					fail(fmt.Errorf("classify leg %d: %w", c, err))
-					return
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusServiceUnavailable {
-					classifyShed[c]++
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					fail(fmt.Errorf("classify leg %d: status %d: %s", c, resp.StatusCode, body))
-					return
-				}
-				var cr serve.ClassifyResponse
-				if err := json.Unmarshal(body, &cr); err != nil {
-					fail(fmt.Errorf("classify leg %d: %w", c, err))
-					return
-				}
-				want, ok := labels[cr.ModelRevision]
-				if !ok {
-					fail(fmt.Errorf("classify leg %d: response echoes unknown model revision %d", c, cr.ModelRevision))
-					return
-				}
-				for i, v := range cr.Results {
-					if v.Cluster != want[i] {
-						fail(fmt.Errorf("classify leg %d: antenna %d served cluster %d under revision %d, offline labels say %d",
-							c, v.ID, v.Cluster, cr.ModelRevision, want[i]))
-						return
-					}
-				}
-				classifyOK[c]++
-			}
-		})
-	}
+	// Leg 2: classify parity under the racing swaps (invariant 2).
+	s.audit.run(&legs, 3, 12, nil)
 
 	// Leg 3: model swaps racing the classify load; each swap purges the
-	// verdict LRU (the PR's stale-cache fix).
+	// verdict LRU, and the model revision in the cache key closes the
+	// purge/insert race.
 	legs.Go(func() {
 		for sw := 0; sw < swapCount; sw++ {
-			next := snapB
-			if sw%2 == 1 {
-				next = snapA
-			}
-			if err := srv.SwapSnapshot(next); err != nil {
-				fail(fmt.Errorf("swap leg: %w", err))
+			if err := srv.SwapSnapshot(e.snaps[1-sw%2]); err != nil { // B, A, B, ...
+				s.fail(fmt.Errorf("swap leg: %w", err))
 				return
 			}
 			out.Swaps++
@@ -436,305 +606,105 @@ func runChaosSchedule(seed uint64, rules map[fault.Site]fault.Rule,
 	// Leg 4: exporter durability through the faulted dialer. Dial refusals
 	// back off and retry inside Export; a mid-stream reset fails the whole
 	// attempt and the batch is re-sent — at-least-once, never lost.
-	exportRetries := 0
 	legs.Go(func() {
 		for b := 0; b < exportBatches; b++ {
-			recs := chaosExportRecords(b, exportPerBatch)
-			delivered := false
-			for attempt := 0; attempt < exportAttempts; attempt++ {
-				err := collect.Export(ctx, col.Addr().String(), recs,
-					collect.WithDialRetry(6, time.Millisecond),
-					collect.WithRetrySeed(seed+uint64(b)),
-					collect.WithDialContext(inj.Dialer(nil)))
-				if err == nil {
-					delivered = true
-					break
-				}
-				exportRetries++
-				if ctx.Err() != nil {
-					fail(fmt.Errorf("export leg: %w", ctx.Err()))
+			// Each batch is tagged with its index as the antenna, so partial
+			// deliveries from retried attempts stay distinguishable.
+			recs := probeRecords(b, exportPerBatch, 1, func(int) int { return b })
+			for attempt := 0; ; attempt++ {
+				if attempt == exportAttempts {
+					s.fail(fmt.Errorf("export leg: batch %d lost after %d attempts", b, exportAttempts))
 					return
 				}
-			}
-			if !delivered {
-				fail(fmt.Errorf("export leg: batch %d lost after %d attempts", b, exportAttempts))
-				return
+				err := collect.Export(s.ctx, col.Addr().String(), recs,
+					collect.WithDialRetry(6, time.Millisecond),
+					collect.WithRetrySeed(seed+uint64(b)),
+					collect.WithDialContext(s.inj.Dialer(nil)))
+				if err == nil {
+					break
+				}
+				out.ExportRetries++
+				if s.ctx.Err() != nil {
+					s.fail(fmt.Errorf("export leg: %w", s.ctx.Err()))
+					return
+				}
 			}
 			out.ExportBatches++
 		}
 	})
-
 	legs.Wait()
-	for c := range classifyOK {
-		out.ClassifyOK += classifyOK[c]
-		out.ClassifyShed += classifyShed[c]
-	}
-	out.AckedBatches = acked
-	out.ExportRetries = exportRetries
 
 	// Fault counters must be visible on /metrics while the server is live.
 	if resp, err := http.Get(url + "/metrics"); err == nil {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if !strings.Contains(string(body), "icn_fault_serve_fold_delays") {
-			fail(fmt.Errorf("metrics: no icn_fault_serve_fold_delays counter exported"))
+			s.fail(fmt.Errorf("metrics: no icn_fault_serve_fold_delays counter exported"))
 		}
 	} else {
-		fail(fmt.Errorf("metrics: %w", err))
+		s.fail(fmt.Errorf("metrics: %w", err))
 	}
 
-	// Invariant 3: the drain itself is bounded.
-	sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer sdCancel()
-	if err := srv.Shutdown(sdCtx); err != nil {
-		fail(fmt.Errorf("shutdown under fault (possible deadlock): %w", err))
-	}
-	colCancel()
+	out.FoldedRecords = s.end(srv.Shutdown, func() int { return srv.Sink().Snapshot().Records })
+	out.AckedBatches, out.RejectedBatches = s.ingest.acked, s.ingest.rejected
+	cancel() // stops the collector
 	colTasks.Wait()
-
-	// Invariant 1: exactly the acked ingest records, no more, no fewer.
-	out.FoldedRecords = srv.Sink().Snapshot().Records
-	if want := acked * ingestPerBatch; out.FoldedRecords != want {
-		fail(fmt.Errorf("acked-batch loss: aggregate holds %d records, want %d (%d acked × %d)",
-			out.FoldedRecords, want, acked, ingestPerBatch))
-	}
 	// Exporter at-least-once: every delivered batch is fully present.
 	if got, want := col.Sink().Snapshot().Records, out.ExportBatches*exportPerBatch; got < want {
-		fail(fmt.Errorf("export loss: collector holds %d records, want >= %d", got, want))
+		s.fail(fmt.Errorf("export loss: collector holds %d records, want >= %d", got, want))
 	}
-	for _, c := range inj.Stats() {
-		out.InjectedErrs += int(c.Errs)
-		out.InjectedDelays += int(c.Delays)
-	}
-	if len(legErrs) > 0 {
-		return out, legErrs[0]
-	}
-	return out, nil
+	return s.err()
 }
 
-// runSwapStorm closes the ingest → refresh → swap loop under fire: a
-// Refresher drives at least `swaps` consecutive snapshot publishes — each
-// seeded by fresh aggregates landing through the faulted fold path — while
-// classify clients hammer the server throughout. Every 200 must match the
-// offline OutdoorLabels of the exact revision the response echoes
+// swapStorm closes the ingest → refresh → swap loop under fire: a
+// Refresher drives at least stormSwaps consecutive snapshot publishes —
+// each seeded by fresh aggregates landing through the faulted fold path —
+// while classify clients hammer the server throughout. Every 200 is
+// audited against the offline result of the exact revision it echoes
 // (resolved through the refresher's revision registry), so the
-// served↔offline consistency invariant is audited across the entire swap
+// served↔offline consistency invariant holds across the entire swap
 // history, not just a retrain pair.
-func runSwapStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.Result, swaps int) (swapStormRecord, error) {
-	var out swapStormRecord
-	out.Seed = fmt.Sprintf("%#016x", seed)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+func (e *chaosEnv) swapStorm(seed uint64, out *swapStormRecord) error {
+	s, cancel := e.newSoak(seed, &out.legCounts, 5*time.Minute)
 	defer cancel()
-
-	inj := fault.New(seed, rules)
-	snap, err := serve.NewModelSnapshot(base)
+	srv, err := serve.New(e.snaps[0], nil, serve.Config{QueueDepth: 64, IngestWorkers: 2, Faults: s.inj})
 	if err != nil {
-		return out, err
+		return err
 	}
-	srv, err := serve.New(snap, nil, serve.Config{QueueDepth: 64, IngestWorkers: 2, Faults: inj})
-	if err != nil {
-		return out, err
-	}
-	if err := srv.Start(); err != nil {
-		return out, err
-	}
-	url := "http://" + srv.Addr().String()
-
 	// Interval: time.Hour — the storm paces refreshes by swap count, not
 	// wall time, so RefreshOnce is driven manually. History must outlast
 	// the storm: a response may echo any revision ever published.
-	ref, err := serve.NewRefresher(srv, base, serve.RefreshConfig{
+	ref, err := serve.NewRefresher(srv, e.res[0], serve.RefreshConfig{
 		Interval: time.Hour,
-		History:  swaps + 16,
+		History:  stormSwaps + 16,
 	})
 	if err != nil {
-		sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer sdCancel()
-		_ = srv.Shutdown(sdCtx)
-		return out, err
+		return err
 	}
-
-	outdoor := base.Dataset.OutdoorTraffic
-	nVec := 32
-	if nVec > outdoor.Rows() {
-		nVec = outdoor.Rows()
+	if err := srv.Start(); err != nil {
+		return err
 	}
-	var creq serve.ClassifyRequest
-	for i := 0; i < nVec; i++ {
-		creq.Antennas = append(creq.Antennas, serve.AntennaVector{
-			ID: uint32(i), Traffic: outdoor.Row(i),
-		})
-	}
-	classifyBody, err := json.Marshal(creq)
-	if err != nil {
-		return out, err
-	}
-
-	var (
-		mu           sync.Mutex
-		legErrs      []error
-		revSeen      = map[uint64]bool{}
-		classifyOK   int
-		classifyShed int
-	)
-	fail := func(err error) {
-		mu.Lock()
-		legErrs = append(legErrs, err)
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(legErrs) > 0
-	}
+	s.aim("http://"+srv.Addr().String(), resultLabels(ref.ResultFor))
 
 	// Classify clients run for the storm's whole lifetime so every swap
 	// races in-flight requests.
-	stopClients := make(chan struct{})
-	var clients pipe.Tasks
-	const classifyClients = 3
-	for c := 0; c < classifyClients; c++ {
-		c := c
-		clients.Go(func() {
-			client := &http.Client{Timeout: 30 * time.Second}
-			for {
-				select {
-				case <-stopClients:
-					return
-				default:
-				}
-				resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(classifyBody))
-				if err != nil {
-					fail(fmt.Errorf("swap-storm classify %d: %w", c, err))
-					return
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusServiceUnavailable {
-					mu.Lock()
-					classifyShed++
-					mu.Unlock()
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					fail(fmt.Errorf("swap-storm classify %d: status %d: %s", c, resp.StatusCode, body))
-					return
-				}
-				var cr serve.ClassifyResponse
-				if err := json.Unmarshal(body, &cr); err != nil {
-					fail(fmt.Errorf("swap-storm classify %d: %w", c, err))
-					return
-				}
-				offline, ok := ref.ResultFor(cr.ModelRevision)
-				if !ok {
-					fail(fmt.Errorf("swap-storm classify %d: response echoes revision %d with no registered offline result", c, cr.ModelRevision))
-					return
-				}
-				for _, v := range cr.Results {
-					if v.Cluster != offline.OutdoorLabels[v.ID] {
-						fail(fmt.Errorf("swap-storm classify %d: antenna %d served cluster %d under revision %d, offline labels say %d",
-							c, v.ID, v.Cluster, cr.ModelRevision, offline.OutdoorLabels[v.ID]))
-						return
-					}
-				}
-				mu.Lock()
-				classifyOK++
-				revSeen[cr.ModelRevision] = true
-				mu.Unlock()
-			}
-		})
-	}
+	s.audit.run(&s.clients, 3, 0, s.stop)
 
 	// Storm loop: ingest a fresh batch over HTTP (through the faulted fold
 	// path), wait for it to clear the queue, refresh, count the swap.
 	// Rotating antennas and growing volumes keep every fold perturbing the
 	// Eq. 5 shares, so each refresh mints a fresh fingerprint; periodic
 	// wide bursts push reassignment toward the escalation path.
-	nIndoor := base.Dataset.Traffic.Rows()
-	ingestClient := &http.Client{Timeout: 30 * time.Second}
-	const perBatch = 25
-	ackedRecords := 0
-	maxIters := 3*swaps + 10
-	for iter := 0; out.Swaps < swaps && !failed(); iter++ {
-		if iter >= maxIters {
-			fail(fmt.Errorf("swap-storm: only %d/%d swaps after %d refresh attempts", out.Swaps, swaps, iter))
-			break
-		}
-		if ctx.Err() != nil {
-			fail(fmt.Errorf("swap-storm: %w", ctx.Err()))
-			break
-		}
-		var stream bytes.Buffer
-		pw := probe.NewWriter(&stream)
+	nIndoor := e.res[0].Dataset.Traffic.Rows()
+	ingest := func(iter int) bool {
 		spread := 1
 		if iter%7 == 6 {
 			spread = 17 // burst across distant antennas
 		}
-		writeErr := error(nil)
-		for j := 0; j < perBatch; j++ {
-			// Real catalog domains: the storm needs the fold to land in the
-			// classified traffic matrix, or the refresh has nothing to do.
-			rec := probe.Record{
-				Hour: uint32(j % 24), AntennaID: uint32((iter*13 + j*spread) % nIndoor),
-				Protocol: probe.TCP, ServerPort: 443,
-				ServerName: probe.DomainOf((iter + j) % services.M),
-				DownBytes:  (1 + uint64(iter%5)) << 20, UpBytes: 1 << 16,
-			}
-			if err := pw.Write(rec); err != nil {
-				writeErr = err
-				break
-			}
-		}
-		if writeErr == nil {
-			writeErr = pw.Flush()
-		}
-		if writeErr != nil {
-			fail(fmt.Errorf("swap-storm ingest %d: %w", iter, writeErr))
-			break
-		}
-
-		// 429/503 under queue pressure is sanctioned degradation: back off
-		// and re-send until the batch is acked.
-		landed := false
-		for attempt := 0; attempt < 100 && ctx.Err() == nil; attempt++ {
-			resp, err := ingestClient.Post(url+"/v1/ingest", "application/octet-stream", bytes.NewReader(stream.Bytes()))
-			if err != nil {
-				fail(fmt.Errorf("swap-storm ingest %d: %w", iter, err))
-				break
-			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusAccepted {
-				landed = true
-				ackedRecords += perBatch
-				break
-			}
-			if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-				time.Sleep(2 * time.Millisecond)
-				continue
-			}
-			fail(fmt.Errorf("swap-storm ingest %d: unexpected status %d", iter, resp.StatusCode))
-			break
-		}
-		if !landed {
-			if !failed() {
-				fail(fmt.Errorf("swap-storm ingest %d: batch never acked", iter))
-			}
-			break
-		}
-		// The ack is a durability promise, not a visibility one: wait for
-		// the batch to clear the faulted fold path so the refresh sees it.
-		for srv.Sink().Snapshot().Records < ackedRecords && ctx.Err() == nil {
-			time.Sleep(time.Millisecond)
-		}
-
-		rctx, rcancel := context.WithTimeout(ctx, 2*time.Minute)
-		ro, err := ref.RefreshOnce(rctx)
-		rcancel()
-		if err != nil {
-			fail(fmt.Errorf("swap-storm refresh %d: %w", iter, err))
-			break
-		}
+		return s.postStorm(iter, 5, func(j int) int { return (iter*13 + j*spread) % nIndoor })
+	}
+	pending := func() bool { return srv.Sink().Snapshot().Records < s.ingest.records }
+	for _, ro := range s.refreshUntil(stormSwaps, 3*stormSwaps+10, ingest, pending, ref.RefreshOnce) {
 		out.Refreshes++
 		if ro.Stats.Escalated {
 			out.Escalations++
@@ -744,234 +714,65 @@ func runSwapStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.R
 		}
 	}
 
-	close(stopClients)
-	clients.Wait()
-
 	// The drain itself stays bounded even with the storm's history behind
-	// it.
-	sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer sdCancel()
-	if err := srv.Shutdown(sdCtx); err != nil {
-		fail(fmt.Errorf("swap-storm shutdown (possible deadlock): %w", err))
-	}
-
-	mu.Lock()
-	out.ClassifyOK = classifyOK
-	out.ClassifyShed = classifyShed
-	out.RevisionsSeen = len(revSeen)
-	mu.Unlock()
-	for _, c := range inj.Stats() {
-		out.InjectedErrs += int(c.Errs)
-		out.InjectedDelays += int(c.Delays)
-	}
-	if out.Swaps < swaps {
-		if len(legErrs) > 0 {
-			return out, legErrs[0]
-		}
-		return out, fmt.Errorf("swap-storm: %d swaps, want >= %d", out.Swaps, swaps)
-	}
-	if len(legErrs) > 0 {
-		return out, legErrs[0]
-	}
-	return out, nil
+	// it, and every acked batch is folded.
+	s.end(srv.Shutdown, func() int { return srv.Sink().Snapshot().Records })
+	out.RevisionsSeen = len(s.audit.revs)
+	return s.err()
 }
 
-// runShardStorm soaks the sharded tier under the same seeded fault rules:
+// shardStorm soaks the sharded tier under the same seeded fault rules:
 // concurrent ingest and classify load through the router while one shard
 // and one replica are killed mid-flight and a refresh fans a new revision
 // out to the survivors. Invariants: every 202-acked batch is folded into
 // some shard sink by the drain (kills included), every classify 200
 // matches the offline labels of the revision it echoes, and nothing hangs
 // past the hard deadline.
-func runShardStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.Result, shards int) (shardStormRecord, error) {
-	var out shardStormRecord
-	out.Seed = fmt.Sprintf("%#016x", seed)
-	out.Shards = shards
-	out.Replicas = 2
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+func (e *chaosEnv) shardStorm(seed uint64, out *shardStormRecord) error {
+	out.Shards, out.Replicas = stormShards, 2
+	s, cancel := e.newSoak(seed, &out.legCounts, 3*time.Minute)
 	defer cancel()
-
-	inj := fault.New(seed, rules)
-	snap, err := serve.NewModelSnapshot(base)
-	if err != nil {
-		return out, err
-	}
-	rt, err := shard.NewRouter(snap, base, shard.Config{
-		Shards: shards, Replicas: 2,
-		RingSeed: seed, QueueDepth: 8, Faults: inj,
+	rt, err := shard.NewRouter(e.snaps[0], e.res[0], shard.Config{
+		Shards: stormShards, Replicas: out.Replicas,
+		RingSeed: seed, QueueDepth: 8, Faults: s.inj,
 	})
 	if err != nil {
-		return out, err
+		return err
 	}
 	if err := rt.Start(); err != nil {
-		return out, err
+		return err
 	}
-	url := rt.URL()
 	out.RingDigest = fmt.Sprintf("%016x", rt.Ring().Digest())
-
-	var (
-		mu      sync.Mutex
-		legErrs []error
-		revSeen = map[uint64]bool{}
-	)
-	fail := func(err error) {
-		mu.Lock()
-		legErrs = append(legErrs, err)
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(legErrs) > 0
-	}
+	s.aim(rt.URL(), resultLabels(rt.ResultFor))
 
 	// Classify clients run for the storm's whole lifetime so the shard and
-	// replica kills race in-flight proxied requests. 503 is sanctioned
-	// shedding (injected latency past the deadline, or a replica dying
-	// under the proxy); a 200 must be parity-perfect for its revision.
-	outdoor := base.Dataset.OutdoorTraffic
-	nVec := 32
-	if nVec > outdoor.Rows() {
-		nVec = outdoor.Rows()
-	}
-	var creq serve.ClassifyRequest
-	for i := 0; i < nVec; i++ {
-		creq.Antennas = append(creq.Antennas, serve.AntennaVector{
-			ID: uint32(i), Traffic: outdoor.Row(i),
-		})
-	}
-	classifyBody, err := json.Marshal(creq)
-	if err != nil {
-		return out, err
-	}
-	stopClients := make(chan struct{})
-	var clients pipe.Tasks
-	classifyOK := 0
-	classifyShed := 0
-	for c := 0; c < 2; c++ {
-		c := c
-		clients.Go(func() {
-			client := &http.Client{Timeout: 30 * time.Second}
-			for {
-				select {
-				case <-stopClients:
-					return
-				default:
-				}
-				resp, err := client.Post(url+"/v1/classify", "application/json", bytes.NewReader(classifyBody))
-				if err != nil {
-					fail(fmt.Errorf("shard-storm classify %d: %w", c, err))
-					return
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusServiceUnavailable {
-					mu.Lock()
-					classifyShed++
-					mu.Unlock()
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					fail(fmt.Errorf("shard-storm classify %d: status %d: %s", c, resp.StatusCode, body))
-					return
-				}
-				var cr serve.ClassifyResponse
-				if err := json.Unmarshal(body, &cr); err != nil {
-					fail(fmt.Errorf("shard-storm classify %d: %w", c, err))
-					return
-				}
-				offline, ok := rt.ResultFor(cr.ModelRevision)
-				if !ok {
-					fail(fmt.Errorf("shard-storm classify %d: response echoes unregistered revision %016x", c, cr.ModelRevision))
-					return
-				}
-				for _, v := range cr.Results {
-					if v.Cluster != offline.OutdoorLabels[v.ID] {
-						fail(fmt.Errorf("shard-storm classify %d: antenna %d served cluster %d under revision %016x, offline labels say %d",
-							c, v.ID, v.Cluster, cr.ModelRevision, offline.OutdoorLabels[v.ID]))
-						return
-					}
-				}
-				mu.Lock()
-				classifyOK++
-				revSeen[cr.ModelRevision] = true
-				mu.Unlock()
-			}
-		})
-	}
+	// replica kills race in-flight proxied requests.
+	s.audit.run(&s.clients, 2, 0, s.stop)
 
-	// Ingest through the router with retry-on-429 (each retry re-partitions
-	// against the updated ring, which is how acked batches survive the
-	// shard kill).
-	nIndoor := base.Dataset.Traffic.Rows()
-	ingestClient := &http.Client{Timeout: 30 * time.Second}
-	const perBatch = 25
-	ackedRecords := 0
+	// Ingest through the router with retry-on-429: each retry
+	// re-partitions against the updated ring, which is how acked batches
+	// survive the shard kill.
+	nIndoor := e.res[0].Dataset.Traffic.Rows()
 	ingest := func(iter int) bool {
-		var stream bytes.Buffer
-		pw := probe.NewWriter(&stream)
-		for j := 0; j < perBatch; j++ {
-			rec := probe.Record{
-				Hour: uint32(j % 24), AntennaID: uint32((iter*19 + j) % nIndoor),
-				Protocol: probe.TCP, ServerPort: 443,
-				ServerName: probe.DomainOf((iter + j) % services.M),
-				DownBytes:  (1 + uint64(iter%4)) << 20, UpBytes: 1 << 16,
-			}
-			if err := pw.Write(rec); err != nil {
-				fail(fmt.Errorf("shard-storm ingest %d: %w", iter, err))
-				return false
-			}
-		}
-		if err := pw.Flush(); err != nil {
-			fail(fmt.Errorf("shard-storm ingest %d: %w", iter, err))
-			return false
-		}
-		for attempt := 0; attempt < 200 && ctx.Err() == nil; attempt++ {
-			resp, err := ingestClient.Post(url+"/v1/ingest", "application/octet-stream", bytes.NewReader(stream.Bytes()))
-			if err != nil {
-				fail(fmt.Errorf("shard-storm ingest %d: %w", iter, err))
-				return false
-			}
-			_, _ = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusAccepted:
-				out.AckedBatches++
-				ackedRecords += perBatch
-				return true
-			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-				out.RejectedBatch++
-				time.Sleep(2 * time.Millisecond)
-			default:
-				fail(fmt.Errorf("shard-storm ingest %d: unexpected status %d", iter, resp.StatusCode))
-				return false
-			}
-		}
-		fail(fmt.Errorf("shard-storm ingest %d: batch never acked", iter))
-		return false
+		return s.postStorm(iter, 4, func(j int) int { return (iter*19 + j) % nIndoor })
 	}
-
+	// Mid-soak kills, between two phases of ingest: one shard (its queue
+	// drains every acked batch before the kill returns) and one replica
+	// (proxied classifies fail over).
 	const batchesPerPhase = 15
-	for iter := 0; iter < batchesPerPhase && !failed(); iter++ {
-		if !ingest(iter) {
-			break
+	for iter := 0; iter < 2*batchesPerPhase && s.err() == nil; iter++ {
+		if iter == batchesPerPhase {
+			kctx, kcancel := context.WithTimeout(s.ctx, 30*time.Second)
+			err := rt.KillShard(stormShards - 1)
+			if err == nil {
+				err = rt.KillReplica(kctx, 1)
+			}
+			kcancel()
+			if err != nil {
+				s.fail(fmt.Errorf("mid-soak kill: %w", err))
+				break
+			}
 		}
-	}
-	// Mid-soak kills: one shard (its queue drains every acked batch before
-	// the kill returns) and one replica (proxied classifies fail over).
-	if !failed() && shards > 1 {
-		if err := rt.KillShard(shards - 1); err != nil {
-			fail(fmt.Errorf("shard-storm kill shard: %w", err))
-		}
-	}
-	if !failed() {
-		kctx, kcancel := context.WithTimeout(ctx, 30*time.Second)
-		if err := rt.KillReplica(kctx, 1); err != nil {
-			fail(fmt.Errorf("shard-storm kill replica: %w", err))
-		}
-		kcancel()
-	}
-	for iter := batchesPerPhase; iter < 2*batchesPerPhase && !failed(); iter++ {
 		if !ingest(iter) {
 			break
 		}
@@ -980,58 +781,19 @@ func runShardStorm(seed uint64, rules map[fault.Site]fault.Rule, base *analysis.
 	// Refresh under fire: fold the merged cross-shard totals and publish at
 	// least one new revision through the fan-out (replica 0 is the only
 	// survivor here, but the protocol — register, swap, fan out — is the
-	// same one the classify leg audits per echoed revision).
-	for iter := 0; out.Swaps < 1 && !failed(); iter++ {
-		if iter >= 8 {
-			fail(fmt.Errorf("shard-storm: no swap after %d refresh attempts", iter))
-			break
-		}
-		if !ingest(2*batchesPerPhase + iter) {
-			break
-		}
-		for rt.Sinks().PendingRecords() != 0 && ctx.Err() == nil {
-			time.Sleep(time.Millisecond)
-		}
-		rctx, rcancel := context.WithTimeout(ctx, 2*time.Minute)
-		ro, err := rt.RefreshOnce(rctx)
-		rcancel()
-		if err != nil {
-			fail(fmt.Errorf("shard-storm refresh %d: %w", iter, err))
-			break
-		}
+	// same one the classify clients audit per echoed revision).
+	pending := func() bool { return rt.Sinks().PendingRecords() != 0 }
+	for _, ro := range s.refreshUntil(1, 8, func(iter int) bool { return ingest(2*batchesPerPhase + iter) }, pending, rt.RefreshOnce) {
 		if ro.Swapped {
 			out.Swaps++
 		}
 	}
 
-	close(stopClients)
-	clients.Wait()
-
 	// Bounded drain, then the acked-batch audit across every shard sink —
 	// the killed shard's drained aggregate included.
-	sdCtx, sdCancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer sdCancel()
-	if err := rt.Shutdown(sdCtx); err != nil {
-		fail(fmt.Errorf("shard-storm shutdown (possible deadlock): %w", err))
-	}
-	st := rt.Stats()
-	out.FoldedRecords = st.FoldedRecords
-	out.Failovers = st.ClassifyFailovers
-	if out.FoldedRecords != ackedRecords {
-		fail(fmt.Errorf("shard-storm acked-batch loss: sinks hold %d records, want %d (%d acked × %d)",
-			out.FoldedRecords, ackedRecords, out.AckedBatches, perBatch))
-	}
-	mu.Lock()
-	out.ClassifyOK = classifyOK
-	out.ClassifyShed = classifyShed
-	out.RevisionsSeen = len(revSeen)
-	mu.Unlock()
-	for _, c := range inj.Stats() {
-		out.InjectedErrs += int(c.Errs)
-		out.InjectedDelays += int(c.Delays)
-	}
-	if len(legErrs) > 0 {
-		return out, legErrs[0]
-	}
-	return out, nil
+	out.FoldedRecords = s.end(rt.Shutdown, func() int { return rt.Stats().FoldedRecords })
+	out.RevisionsSeen = len(s.audit.revs)
+	out.AckedBatches, out.RejectedBatch = s.ingest.acked, s.ingest.rejected
+	out.Failovers = rt.Stats().ClassifyFailovers
+	return s.err()
 }

@@ -238,11 +238,7 @@ func measureBest(cfg analysis.Config, runs int, benchPath string) (benchRecord, 
 		}
 	}
 	if benchPath != "" {
-		data, err := json.MarshalIndent(best, "", "  ")
-		if err != nil {
-			return benchRecord{}, err
-		}
-		if err := os.WriteFile(benchPath, append(data, '\n'), 0o644); err != nil {
+		if err := writeJSON(benchPath, best); err != nil {
 			return benchRecord{}, err
 		}
 		fmt.Fprintf(os.Stderr, "icnbench: wrote gated stage timings to %s\n", benchPath)

@@ -10,8 +10,7 @@
 //	icnbench -gate BASELINE [-gatecompare FILE] [-gatetolerance F]
 //	         [-gatefloor MS] [-gateruns N] [-gatemax SPEC] [-gateexpect ROWS]
 //	icnbench -serve [-servejson FILE]
-//	icnbench -chaos [-chaosschedules N] [-chaosswaps N] [-chaosshards N]
-//	         [-chaosjson FILE]
+//	icnbench -chaos [-chaosschedules N] [-chaosjson FILE]
 //
 // With -gate the command reruns the pipeline at the baseline record's
 // shape — its seed, scale, k and trees — and fails on per-stage wall-time
@@ -30,9 +29,11 @@
 // echoed revision's series; the forecast_train, forecast_p50 and
 // forecast_p99 rows gate alongside the classify rows.
 //
-// With -chaos the command runs the seeded fault-injection soak against a
-// live server, including a shard storm that kills a shard and a replica
-// of the sharded tier mid-soak with its invariants held.
+// With -chaos the command runs the seeded fault-injection soak against
+// live servers: -chaosschedules fault schedules (default 3), then two
+// storms that always run — a swap storm of 50 refresh-published model
+// swaps and a shard storm that kills a shard and a replica of a 3-shard
+// tier mid-soak — each with its invariants held.
 //
 // At -scale 1 the run uses the paper's full population (4,762 indoor and
 // 22,000 outdoor antennas); this takes a few minutes and ~1 GiB of memory.
@@ -68,8 +69,6 @@ func main() {
 	serveJSON := flag.String("servejson", "BENCH_serve.json", "serving benchmark output path (with -serve)")
 	chaos := flag.Bool("chaos", false, "run the seeded fault-injection soak against a live server instead of regenerating artifacts")
 	chaosSchedules := flag.Int("chaosschedules", 3, "number of seeded fault schedules (with -chaos)")
-	chaosSwaps := flag.Int("chaosswaps", 50, "refresh-driven snapshot swaps the swap-storm leg must complete with parity held (with -chaos; 0 disables the leg)")
-	chaosShards := flag.Int("chaosshards", 3, "shards in the sharded chaos leg: kills a shard and a replica mid-soak with invariants held (with -chaos; 0 disables the leg)")
 	chaosJSON := flag.String("chaosjson", "", "chaos soak record output path (with -chaos, optional)")
 	gatePath := flag.String("gate", "", "baseline stage-timing JSON: rerun the pipeline and fail on per-stage wall-time regressions")
 	gateCompare := flag.String("gatecompare", "", "candidate stage-timing JSON to compare instead of rerunning (with -gate)")
@@ -87,7 +86,7 @@ func main() {
 		ForestTrees: *trees,
 	}
 	if *chaos {
-		if err := runChaos(cfg, *chaosSchedules, *chaosSwaps, *chaosShards, *chaosJSON); err != nil {
+		if err := runChaos(cfg, *chaosSchedules, *chaosJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -127,7 +126,7 @@ func main() {
 	fmt.Fprintln(os.Stderr, suite.Res.Trace())
 
 	if *benchPath != "" {
-		if err := writeBenchJSON(*benchPath, cfg, suite); err != nil {
+		if err := writeJSON(*benchPath, buildBenchRecord(cfg, suite)); err != nil {
 			fmt.Fprintf(os.Stderr, "icnbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -227,8 +226,10 @@ func buildBenchRecord(cfg analysis.Config, suite *experiments.Suite) benchRecord
 	return rec
 }
 
-func writeBenchJSON(path string, cfg analysis.Config, suite *experiments.Suite) error {
-	data, err := json.MarshalIndent(buildBenchRecord(cfg, suite), "", "  ")
+// writeJSON writes v to path as indented JSON: every record the command
+// writes (-benchjson, -servejson, -chaosjson) goes through it.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}

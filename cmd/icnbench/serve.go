@@ -236,11 +236,7 @@ func runServeBench(cfg analysis.Config, outPath string) error {
 		time.Since(shutdownStart).Round(time.Millisecond),
 		rec.RequestsPerS, rec.VectorsPerS, rec.P50MS, rec.P99MS, failed)
 
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(outPath, rec); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "icnbench: wrote serving benchmark to %s\n", outPath)

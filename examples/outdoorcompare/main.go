@@ -10,22 +10,34 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	icn "repro"
 	"repro/internal/geo"
 )
 
+// config is the deployment the comparison runs on.
+var config = icn.Config{
+	Seed:         5,
+	Scale:        0.1,
+	OutdoorCount: 1500,
+	ForestTrees:  50,
+}
+
 func main() {
-	result, err := icn.Run(context.Background(), icn.Config{
-		Seed:         5,
-		Scale:        0.1,
-		OutdoorCount: 1500,
-		ForestTrees:  50,
-	})
-	if err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run performs the comparison and prints it to w.
+func run(ctx context.Context, w io.Writer) error {
+	result, err := icn.Run(ctx, config)
+	if err != nil {
+		return err
 	}
 	ds := result.Dataset
 
@@ -40,7 +52,7 @@ func main() {
 		}
 		totalNeighbours += n
 	}
-	fmt.Printf("indoor antennas with ≥1 outdoor neighbour within 1 km: %d/%d (mean %.1f neighbours)\n",
+	fmt.Fprintf(w, "indoor antennas with ≥1 outdoor neighbour within 1 km: %d/%d (mean %.1f neighbours)\n",
 		withNeighbour, len(ds.Indoor), float64(totalNeighbours)/float64(len(ds.Indoor)))
 
 	// Cluster distributions, indoor vs outdoor.
@@ -52,17 +64,18 @@ func main() {
 		indoorShare[i] /= float64(len(result.Labels))
 	}
 
-	fmt.Println("\ncluster     indoor   outdoor")
+	fmt.Fprintln(w, "\ncluster     indoor   outdoor")
 	for c := 0; c < result.K; c++ {
-		fmt.Printf("cluster %d   %5.1f%%   %5.1f%%\n",
+		fmt.Fprintf(w, "cluster %d   %5.1f%%   %5.1f%%\n",
 			c, indoorShare[c]*100, result.OutdoorShare[c]*100)
 	}
 
 	// Diversity as normalized Shannon entropy of the two distributions.
-	fmt.Printf("\ndemand diversity (normalized entropy): indoor %.2f, outdoor %.2f\n",
+	fmt.Fprintf(w, "\ndemand diversity (normalized entropy): indoor %.2f, outdoor %.2f\n",
 		entropy(indoorShare), entropy(result.OutdoorShare))
-	fmt.Printf("outdoor antennas in the general-use cluster 1: %.0f%% (paper: ~70%%)\n",
+	fmt.Fprintf(w, "outdoor antennas in the general-use cluster 1: %.0f%% (paper: ~70%%)\n",
 		result.OutdoorShare[1]*100)
+	return nil
 }
 
 // entropy returns the Shannon entropy of the distribution normalized by

@@ -7,40 +7,53 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	icn "repro"
 )
 
+// config is the deployment the quickstart analyses. A 10% deployment
+// keeps the run to a couple of seconds. Scale: 1 reproduces the paper's
+// full population (4,762 indoor antennas).
+var config = icn.Config{
+	Seed:        1,
+	Scale:       0.1,
+	ForestTrees: 50,
+}
+
 func main() {
-	// A 10% deployment keeps the run to a couple of seconds. Scale: 1
-	// reproduces the paper's full population (4,762 indoor antennas).
-	result, err := icn.Run(context.Background(), icn.Config{
-		Seed:        1,
-		Scale:       0.1,
-		ForestTrees: 50,
-	})
-	if err != nil {
+	if err := run(context.Background(), os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	fmt.Printf("indoor antennas: %d across %d sites\n",
+// run analyses the deployment and prints its findings to w.
+func run(ctx context.Context, w io.Writer) error {
+	result, err := icn.Run(ctx, config)
+	if err != nil {
+		return err
+	}
+
+	fmt.Fprintf(w, "indoor antennas: %d across %d sites\n",
 		len(result.Dataset.Indoor), result.Dataset.Sites)
-	fmt.Printf("clusters (k=%d): sizes %v\n", result.K, result.ClusterSizes())
-	fmt.Printf("purity vs hidden archetypes: %.3f (ARI %.3f)\n",
+	fmt.Fprintf(w, "clusters (k=%d): sizes %v\n", result.K, result.ClusterSizes())
+	fmt.Fprintf(w, "purity vs hidden archetypes: %.3f (ARI %.3f)\n",
 		result.Purity(), result.AdjustedRandIndex())
-	fmt.Printf("surrogate forest accuracy: %.3f\n", result.SurrogateAccuracy)
-	fmt.Printf("cluster/environment association (Cramér's V): %.3f\n",
+	fmt.Fprintf(w, "surrogate forest accuracy: %.3f\n", result.SurrogateAccuracy)
+	fmt.Fprintf(w, "cluster/environment association (Cramér's V): %.3f\n",
 		result.Contingency.CramersV())
-	fmt.Printf("outdoor antennas in the general-use cluster: %.0f%%\n",
+	fmt.Fprintf(w, "outdoor antennas in the general-use cluster: %.0f%%\n",
 		result.OutdoorShare[1]*100)
 
-	fmt.Println("\nper-cluster profiles:")
-	profiles, err := icn.BuildProfiles(context.Background(), result, icn.ProfileOptions{TopServices: 5})
+	fmt.Fprintln(w, "\nper-cluster profiles:")
+	profiles, err := icn.BuildProfiles(ctx, result, icn.ProfileOptions{TopServices: 5})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, p := range profiles {
-		fmt.Println("  " + p.String())
+		fmt.Fprintln(w, "  "+p.String())
 	}
+	return nil
 }

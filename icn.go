@@ -222,7 +222,9 @@ func NewModelSnapshot(res *Result) (*ModelSnapshot, error) {
 	return serve.NewModelSnapshot(res)
 }
 
-// ServeConfig parameterizes the online classification service.
+// ServeConfig parameterizes the online classification service: listen
+// address, ingest queue depth and workers, request deadline, classify
+// cache size, body and per-request antenna bounds, and fault injection.
 type ServeConfig = serve.Config
 
 // ServeStats is a point-in-time snapshot of a Server's activity.
@@ -257,7 +259,9 @@ type AntennaVerdict = serve.AntennaVerdict
 // drift threshold), and atomically publishes the retrained snapshot.
 type Refresher = serve.Refresher
 
-// RefreshConfig parameterizes a Refresher.
+// RefreshConfig parameterizes a Refresher: tick interval, drift
+// threshold, revision history, a log hook, and the Totals and OnSwap seams
+// the sharded router fills in.
 type RefreshConfig = serve.RefreshConfig
 
 // RefreshInfo is the refresh telemetry served under /v1/model.
@@ -312,8 +316,10 @@ const (
 // --- Sharded serving --------------------------------------------------------
 
 // ShardConfig parameterizes the sharded ingest + replicated serving layer:
-// shard and replica counts, ring seeding, queue depths, and the attached
-// refresh controller.
+// shard and replica counts, ring seeding, the per-shard queue depth, the
+// listen address, request deadline and body bound, and fault injection.
+// The attached refresh controller runs no tick loop: drive it with
+// Router.RefreshOnce.
 type ShardConfig = shard.Config
 
 // Router is the sharded front door: probe ingest partitioned across N

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"container/list"
 	"encoding/json"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/forecast"
@@ -50,82 +48,14 @@ type ForecastResponse struct {
 // forecastKey identifies one cached forecast: the queried model (cluster
 // or sampled antenna), the horizon, and the snapshot revision the
 // prediction was computed under — so a swap can never serve a stale
-// forecast even if a racing handler inserts after the purge.
+// forecast even if a racing handler inserts after the purge. Cached
+// responses are immutable: handlers copy the struct and only flip the
+// Cached flag; the Forecast slice is shared read-only.
 type forecastKey struct {
 	antenna bool
 	id      int
 	horizon int
 	model   uint64
-}
-
-// forecastCache is a fixed-capacity LRU of forecast responses, safe for
-// concurrent handlers. Cached responses are immutable (handlers copy the
-// struct and only flip the Cached flag; the Forecast slice is shared
-// read-only). A capacity ≤ 0 disables caching.
-type forecastCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recent; values are *forecastEntry
-	byKey map[forecastKey]*list.Element
-}
-
-type forecastEntry struct {
-	key  forecastKey
-	resp ForecastResponse
-}
-
-func newForecastCache(capacity int) *forecastCache {
-	return &forecastCache{
-		cap:   capacity,
-		order: list.New(),
-		byKey: make(map[forecastKey]*list.Element),
-	}
-}
-
-func (c *forecastCache) get(key forecastKey) (ForecastResponse, bool) {
-	if c.cap <= 0 {
-		return ForecastResponse{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return ForecastResponse{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*forecastEntry).resp, true
-}
-
-func (c *forecastCache) put(key forecastKey, resp ForecastResponse) {
-	if c.cap <= 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*forecastEntry).resp = resp
-		c.order.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.order.PushFront(&forecastEntry{key: key, resp: resp})
-	if c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*forecastEntry).key)
-	}
-}
-
-func (c *forecastCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-func (c *forecastCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	clear(c.byKey)
 }
 
 // handleForecast serves cluster- or antenna-conditioned horizon queries

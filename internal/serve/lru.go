@@ -17,74 +17,79 @@ type cacheKey struct {
 	model uint64
 }
 
-// lruCache is a fixed-capacity LRU of classify verdicts, safe for
-// concurrent handlers. A capacity ≤ 0 disables caching entirely.
-type lruCache struct {
+// lru is a fixed-capacity LRU safe for concurrent handlers: the classify
+// verdict cache (cacheKey → cluster) and the forecast cache (forecastKey →
+// ForecastResponse) are both one. A capacity ≤ 0 disables caching
+// entirely.
+type lru[K comparable, V any] struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List // front = most recent; values are *lruEntry
-	byKey map[cacheKey]*list.Element
+	order *list.List // front = most recent; values are *lruEntry[K, V]
+	byKey map[K]*list.Element
 }
 
-type lruEntry struct {
-	key     cacheKey
-	cluster int
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newLRUCache(capacity int) *lruCache {
-	return &lruCache{
+func newLRU[K comparable, V any](capacity int) *lru[K, V] {
+	return &lru[K, V]{
 		cap:   capacity,
 		order: list.New(),
-		byKey: make(map[cacheKey]*list.Element),
+		byKey: make(map[K]*list.Element),
 	}
 }
 
-// get returns the cached cluster for key and marks it most-recently used.
-func (c *lruCache) get(key cacheKey) (int, bool) {
+// get returns the cached value for key and marks it most-recently used.
+func (c *lru[K, V]) get(key K) (V, bool) {
+	var zero V
 	if c.cap <= 0 {
-		return 0, false
+		return zero, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return 0, false
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).cluster, true
+	return el.Value.(*lruEntry[K, V]).val, true
 }
 
 // put inserts or refreshes key, evicting the least-recently used entry
 // beyond capacity.
-func (c *lruCache) put(key cacheKey, cluster int) {
+func (c *lru[K, V]) put(key K, val V) {
 	if c.cap <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*lruEntry).cluster = cluster
+		el.Value.(*lruEntry[K, V]).val = val
 		c.order.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.order.PushFront(&lruEntry{key: key, cluster: cluster})
+	c.byKey[key] = c.order.PushFront(&lruEntry[K, V]{key: key, val: val})
 	if c.order.Len() > c.cap {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.byKey, oldest.Value.(*lruEntry).key)
+		delete(c.byKey, oldest.Value.(*lruEntry[K, V]).key)
 	}
 }
 
 // len reports the current entry count.
-func (c *lruCache) len() int {
+func (c *lru[K, V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
-// purge drops every entry — called on model-snapshot swap so verdicts from
-// the previous model free their capacity immediately instead of aging out.
-func (c *lruCache) purge() {
+// purge drops every entry — called on model-snapshot swap so entries
+// computed by the previous model free their capacity immediately instead
+// of aging out. The model revision in both key types is what keeps a
+// racing insert after the purge from being served under the new model.
+func (c *lru[K, V]) purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.order.Init()

@@ -13,6 +13,9 @@ import (
 	"repro/internal/rca"
 )
 
+// refreshTimeout bounds one refresh run of the tick loop.
+const refreshTimeout = 2 * time.Minute
+
 // RefreshConfig parameterizes the continuous-refresh controller.
 type RefreshConfig struct {
 	// Interval is the tick period between refresh attempts (default 30s).
@@ -29,8 +32,6 @@ type RefreshConfig struct {
 	// Forecasts and the stage trace), whose fixed shape costs about one
 	// N × M traffic matrix plus the forecast set per entry.
 	History int
-	// Timeout bounds one refresh run (default 2m).
-	Timeout time.Duration
 	// Logf, when set, receives one line per completed refresh attempt.
 	Logf func(format string, args ...any)
 	// Totals overrides the aggregate-totals source folded on every refresh
@@ -55,9 +56,6 @@ func (c RefreshConfig) withDefaults() RefreshConfig {
 	}
 	if c.History <= 0 {
 		c.History = 64
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Minute
 	}
 	return c
 }
@@ -108,10 +106,10 @@ type RefreshOutcome struct {
 // traffic matrix (rca.Accumulator), runs the warm pipeline on the rows that
 // changed (analysis.WarmRefreshContext, escalating past the drift
 // threshold), and publishes the retrained model through SwapSnapshot. All
-// work happens off the request path on the server's worker pool; the only
-// goroutine is the tick loop, spawned via pipe.Tasks per the poolgo
-// contract. Every published revision's offline result is retained in a
-// bounded registry (ResultFor) — registered before the swap — so any
+// work happens off the request path on the process-shared worker pool;
+// the only goroutine is the tick loop, spawned via pipe.Tasks per the
+// poolgo contract. Every published revision's offline result is retained
+// in a bounded registry (ResultFor) — registered before the swap — so any
 // served response echoing a revision can be audited against the exact
 // offline result that produced it. Only the current revision's entry is
 // the full Result (the next warm refresh starts from its surrogate); a
@@ -128,9 +126,9 @@ type Refresher struct {
 	refreshMu sync.Mutex
 
 	// mu guards the revision registry and the telemetry no counter
-	// carries. The serve.refresh.* counters are bumped under it too, so
-	// Info reads one consistent refresh. cur is the full result of
-	// info.LastRevision.
+	// carries. The serve.refresh.* counters are bumped and the swap is
+	// published under it too, so Info reads one consistent refresh. cur
+	// is the full result of info.LastRevision.
 	mu      sync.Mutex
 	cur     *analysis.Result
 	history map[uint64]*analysis.Result
@@ -247,7 +245,7 @@ func (r *Refresher) loop() {
 		case <-r.stop:
 			return
 		case <-ticker.C:
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
+			ctx, cancel := context.WithTimeout(context.Background(), refreshTimeout)
 			out, err := r.RefreshOnce(ctx)
 			cancel()
 			if r.cfg.Logf == nil {
@@ -304,7 +302,7 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	r.mu.Lock()
 	prev := r.cur
 	r.mu.Unlock()
-	ctx = pipe.WithPool(ctx, r.srv.pool)
+	ctx = pipe.WithPool(ctx, pipe.Shared())
 	wres, st, err := analysis.WarmRefreshContext(ctx, prev, traffic, dirty,
 		analysis.WarmConfig{DriftThreshold: r.cfg.DriftThreshold})
 	out.Stats = st
@@ -326,26 +324,24 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	// snapshot: a response served the instant after the swap must already
 	// be resolvable through ResultFor.
 	r.register(snap.Revision, wres)
+	slim := prev.Slim()
+	reg := r.srv.reg
+
+	// Publish and count under mu: a reader that sees the new revision
+	// served and then asks Info finds the swap already counted.
+	r.mu.Lock()
 	swapped := snap.Revision != r.srv.Snapshot().Revision
 	if swapped {
 		if err := r.srv.SwapSnapshot(snap); err != nil {
-			return out, r.fail(err)
-		}
-		if r.cfg.OnSwap != nil {
-			r.cfg.OnSwap(snap, wres)
+			reg.Add("serve.refresh.errors", 1)
+			r.mu.Unlock()
+			return out, err
 		}
 	}
 	for i := 0; i < totals.Rows(); i++ {
 		copy(r.lastGood.Row(i), totals.Row(i))
 	}
 
-	out.Revision = snap.Revision
-	out.Swapped = swapped
-	out.Duration = time.Since(start)
-	slim := prev.Slim()
-
-	reg := r.srv.reg
-	r.mu.Lock()
 	// prev is superseded: its audit fields stay resolvable, but its
 	// forest, RSCA and caches are no longer pinned by the registry.
 	if prevRev := r.info.LastRevision; prevRev != snap.Revision && r.history[prevRev] == prev {
@@ -367,6 +363,12 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	r.info.LastStages = stages
 	r.mu.Unlock()
 
+	if swapped && r.cfg.OnSwap != nil {
+		r.cfg.OnSwap(snap, wres)
+	}
+	out.Revision = snap.Revision
+	out.Swapped = swapped
+	out.Duration = time.Since(start)
 	reg.ObserveMS("serve.refresh.latency.ms", msSince(start))
 	return out, nil
 }

@@ -54,6 +54,16 @@ import (
 	"repro/internal/probe"
 )
 
+// Fixed serving limits.
+const (
+	// forecastCacheSize bounds the forecast LRU in entries.
+	forecastCacheSize = 1024
+	// maxIngestRecords caps records per ingest batch.
+	maxIngestRecords = 262144
+	// retryAfter is the backpressure hint on 429 responses.
+	retryAfter = time.Second
+)
+
 // Config parameterizes a Server. The zero value serves on an ephemeral
 // localhost port with production-shaped defaults.
 type Config struct {
@@ -70,20 +80,10 @@ type Config struct {
 	// CacheSize bounds the classify LRU in entries; 0 selects the default
 	// 4096, negative disables caching.
 	CacheSize int
-	// ForecastCacheSize bounds the forecast LRU in entries; 0 selects the
-	// default 1024, negative disables caching.
-	ForecastCacheSize int
 	// MaxBodyBytes bounds request bodies (default 32 MiB).
 	MaxBodyBytes int64
-	// MaxIngestRecords caps records per ingest batch (default 262144).
-	MaxIngestRecords int
 	// MaxClassifyAntennas caps vectors per classify call (default 4096).
 	MaxClassifyAntennas int
-	// RetryAfter is the backpressure hint on 429 responses (default 1s).
-	RetryAfter time.Duration
-	// Pool overrides the worker pool classify batches fan out on
-	// (default: the process-shared pool).
-	Pool *pipe.Pool
 	// Faults optionally wires the deterministic fault-injection layer
 	// (internal/fault) into the serving seams: ingest latency before the
 	// ack, slow drain folds, and classify latency spikes. nil injects
@@ -107,20 +107,11 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
 	}
-	if c.ForecastCacheSize == 0 {
-		c.ForecastCacheSize = 1024
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
-	if c.MaxIngestRecords <= 0 {
-		c.MaxIngestRecords = 262144
-	}
 	if c.MaxClassifyAntennas <= 0 {
 		c.MaxClassifyAntennas = 4096
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -157,9 +148,8 @@ type Server struct {
 	cfg     Config
 	snap    atomic.Pointer[ModelSnapshot]
 	sink    *collect.Sink
-	pool    *pipe.Pool
-	cache   *lruCache
-	fcCache *forecastCache
+	cache   *lru[cacheKey, int]
+	fcCache *lru[forecastKey, ForecastResponse]
 
 	queue chan []probe.Record
 	tasks pipe.Tasks
@@ -191,16 +181,11 @@ func New(snap *ModelSnapshot, sink *collect.Sink, cfg Config) (*Server, error) {
 	if sink == nil {
 		sink = collect.NewSink()
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = pipe.Shared()
-	}
 	s := &Server{
 		cfg:     cfg,
 		sink:    sink,
-		pool:    pool,
-		cache:   newLRUCache(cfg.CacheSize),
-		fcCache: newForecastCache(cfg.ForecastCacheSize),
+		cache:   newLRU[cacheKey, int](cfg.CacheSize),
+		fcCache: newLRU[forecastKey, ForecastResponse](forecastCacheSize),
 		queue:   make(chan []probe.Record, cfg.QueueDepth),
 		reg:     obs.NewRegistry(),
 	}
@@ -310,13 +295,12 @@ func (s *Server) drainQueue() {
 	}
 }
 
-// withDeadline wraps a handler with the per-request context deadline and
-// the server's worker pool.
+// withDeadline wraps a handler with the per-request context deadline. The
+// context carries no pool, so classify fans out on the process-shared one.
 func (s *Server) withDeadline(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 		defer cancel()
-		ctx = pipe.WithPool(ctx, s.pool)
 		h(w, r.WithContext(ctx))
 	}
 }
@@ -431,7 +415,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.sink.NoteConnection()
-	batch, err := ReadProbeBatch(w, r, s.cfg.MaxBodyBytes, s.cfg.MaxIngestRecords)
+	batch, err := ReadProbeBatch(w, r, s.cfg.MaxBodyBytes, maxIngestRecords)
 	if err != nil {
 		if errors.Is(err, ErrMalformedStream) {
 			s.sink.NoteMalformed()
@@ -457,7 +441,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch)})
 	default:
 		s.reg.Add("serve.ingest.rejected", 1)
-		WriteRetryLater(w, s.cfg.RetryAfter, "ingest queue full, retry later")
+		WriteRetryLater(w, retryAfter, "ingest queue full, retry later")
 	}
 }
 

@@ -21,6 +21,15 @@ import (
 	"repro/internal/serve"
 )
 
+// Fixed router limits. The ring places DefaultVirtualNodes per shard, and
+// replicas classify on the process-shared worker pool.
+const (
+	// retryAfter is the backpressure hint on 429 responses.
+	retryAfter = time.Second
+	// maxIngestRecords caps records per ingest batch.
+	maxIngestRecords = 1 << 20
+)
+
 // Config parameterizes the sharded router. The zero value fronts 4 shards
 // and 2 replicas on an ephemeral localhost port.
 type Config struct {
@@ -29,9 +38,6 @@ type Config struct {
 	// Replicas is the number of serve replicas behind the router
 	// (default 2). Replica 0 is the refresh primary.
 	Replicas int
-	// VirtualNodes is the ring's per-shard virtual-node count (default
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// RingSeed seeds the ring's placement streams; the same seed always
 	// yields the same antenna → shard map.
 	RingSeed uint64
@@ -43,22 +49,9 @@ type Config struct {
 	// RequestTimeout is the per-request deadline on the router and its
 	// replicas (default 15s — proxied classifies pay two hops).
 	RequestTimeout time.Duration
-	// RetryAfter is the backpressure hint on 429 responses (default 1s).
-	RetryAfter time.Duration
 	// MaxBodyBytes bounds request bodies (default 64 MiB — the sharded
 	// path is sized for bulk ingest).
 	MaxBodyBytes int64
-	// MaxIngestRecords caps records per ingest batch (default 1<<20).
-	MaxIngestRecords int
-	// Refresh parameterizes the attached refresh controller. Its Totals
-	// and OnSwap seams are owned by the router (merged cross-shard totals,
-	// snapshot fan-out); a non-zero Interval starts the tick loop on
-	// Start. Leave Interval zero to drive refreshes manually through
-	// RefreshOnce.
-	Refresh serve.RefreshConfig
-	// Pool overrides the worker pool replicas classify on (default: the
-	// process-shared pool).
-	Pool *pipe.Pool
 	// Faults optionally wires deterministic fault injection into the
 	// sharded seams: router ingest latency (fault.Ingest), shard drain
 	// folds (fault.ShardFold), and the replicas' own sites. nil injects
@@ -73,9 +66,6 @@ func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
 	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
@@ -85,14 +75,8 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 15 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
-	}
-	if c.MaxIngestRecords <= 0 {
-		c.MaxIngestRecords = 1 << 20
 	}
 	return c
 }
@@ -138,13 +122,14 @@ type Router struct {
 // snap. base is the offline result the snapshot was trained from; when
 // non-nil a refresh controller is attached to replica 0 with the router's
 // cross-shard totals and fan-out wired into its seams (pass nil to serve a
-// static snapshot). Call Start to bind, Shutdown for a drained stop.
+// static snapshot); it runs no tick loop, so refreshes are driven through
+// RefreshOnce. Call Start to bind, Shutdown for a drained stop.
 func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*Router, error) {
 	if snap == nil {
 		return nil, errors.New("shard: nil model snapshot")
 	}
 	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Shards, cfg.VirtualNodes, cfg.RingSeed)
+	ring, err := NewRing(cfg.Shards, DefaultVirtualNodes, cfg.RingSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +147,6 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 	}
 	for i := 0; i < cfg.Replicas; i++ {
 		srv, err := serve.New(snap, nil, serve.Config{
-			Pool:           cfg.Pool,
 			Faults:         cfg.Faults,
 			RequestTimeout: cfg.RequestTimeout,
 		})
@@ -175,10 +159,10 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 		rt.replicas = append(rt.replicas, rep)
 	}
 	if base != nil {
-		rcfg := cfg.Refresh
-		rcfg.Totals = sinks.TrafficMatrix
-		rcfg.OnSwap = rt.fanOut
-		ref, err := serve.NewRefresher(rt.replicas[0].srv, base, rcfg)
+		ref, err := serve.NewRefresher(rt.replicas[0].srv, base, serve.RefreshConfig{
+			Totals: sinks.TrafficMatrix,
+			OnSwap: rt.fanOut,
+		})
 		if err != nil {
 			sinks.Close()
 			return nil, err
@@ -241,9 +225,6 @@ func (rt *Router) Start() error {
 			// ErrServerClosed is the expected Shutdown outcome.
 			_ = rt.httpSrv.Serve(rt.ln)
 		})
-		if rt.ref != nil && rt.cfg.Refresh.Interval > 0 {
-			rt.ref.Start()
-		}
 	})
 	return err
 }
@@ -384,7 +365,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		serve.WriteError(w, http.StatusMethodNotAllowed, "POST a probe stream")
 		return
 	}
-	batch, err := serve.ReadProbeBatch(w, r, rt.cfg.MaxBodyBytes, rt.cfg.MaxIngestRecords)
+	batch, err := serve.ReadProbeBatch(w, r, rt.cfg.MaxBodyBytes, maxIngestRecords)
 	if err != nil {
 		if errors.Is(err, serve.ErrMalformedStream) {
 			rt.reg.Add("shard.ingest.malformed", 1)
@@ -405,7 +386,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	subs := rt.sinks.Partition(batch)
 	if !rt.sinks.Offer(subs) {
 		rt.reg.Add("shard.ingest.rejected", 1)
-		serve.WriteRetryLater(w, rt.cfg.RetryAfter, "a target shard queue is full or gone, retry")
+		serve.WriteRetryLater(w, retryAfter, "a target shard queue is full or gone, retry")
 		return
 	}
 	rt.reg.Add("shard.ingest.batches", 1)
