@@ -1,9 +1,15 @@
 GO ?= go
 
-.PHONY: build lint test race bench bench-gate bench-baseline artifacts serve-bench fuzz-short
+.PHONY: build fmt-check lint test race bench bench-gate bench-baseline artifacts serve-bench fuzz-short
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite any
+# tracked Go file.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Domain lint: icnvet machine-checks the pipeline's determinism,
 # concurrency and error-handling contracts, including the cross-package

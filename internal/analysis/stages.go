@@ -153,8 +153,8 @@ func AddModelStages(g *pipe.Graph, ds *synth.Dataset, cfg Config, feats *Feature
 			return err
 		}
 		out.Surrogate = f
-		out.SurrogateAccuracy, err = f.AccuracyContext(ctx, feats.RSCA, clus.Labels)
-		return err
+		out.SurrogateAccuracy = f.TrainAccuracy
+		return nil
 	})
 
 	g.Add("contingency", []string{labelsDep}, func(ctx context.Context) error {

@@ -19,7 +19,7 @@ func denseFromRows(t *testing.T, rows [][]float64) *mat.Dense {
 func TestCentroidsMeansAndEmptyClusters(t *testing.T) {
 	x := denseFromRows(t, [][]float64{
 		{0, 0}, {2, 4}, // cluster 0 → mean (1, 2)
-		{10, 10},       // cluster 2 → itself
+		{10, 10}, // cluster 2 → itself
 	})
 	c := Centroids(x, []int{0, 0, 2}, 3)
 	if got := c.Row(0); !reflect.DeepEqual(got, []float64{1, 2}) {

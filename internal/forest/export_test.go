@@ -7,6 +7,10 @@ import "repro/internal/mat"
 // package forest.
 var TrainExact = trainExact
 
+// TrainWindow exposes the duplicate-index window-scan reference forest to
+// the external scale-0.25 parity test.
+var TrainWindow = trainWindow
+
 // BlockRows exposes the predict block sizing to the external kernel test.
 var BlockRows = blockRows
 

@@ -47,6 +47,10 @@ type Forest struct {
 	// OOBAccuracy is the out-of-bag accuracy estimated during training
 	// (NaN if no sample was ever out of bag).
 	OOBAccuracy float64
+	// TrainAccuracy is the fraction of training rows the ensemble
+	// classifies as labelled, scored in the same pass as OOBAccuracy; it
+	// equals Accuracy on the training set.
+	TrainAccuracy float64
 }
 
 // Train fits a random forest on the rows of x with labels y in
@@ -71,6 +75,9 @@ func TrainContext(ctx context.Context, x *mat.Dense, y []int, classes int, cfg C
 			panic(fmt.Sprintf("forest: label %d out of range at row %d", c, i))
 		}
 	}
+	if classes > maxClasses {
+		return nil, fmt.Errorf("forest: %d classes, the split search supports at most %d", classes, maxClasses)
+	}
 	cfg = cfg.withDefaults(x.Cols())
 
 	// Features are binned once per forest — the histogram split search of
@@ -88,13 +95,12 @@ func TrainContext(ctx context.Context, x *mat.Dense, y []int, classes int, cfg C
 }
 
 // bag trains cfg.Trees trees with grow, each on a bootstrap sample drawn
-// from its own pre-split seed, and scores the ensemble out of bag.
+// from its own pre-split seed, and scores the ensemble out of bag and on
+// its training rows.
 func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, grow func(idx []int, r *rng.Source) *Tree) (*Forest, error) {
 	n := x.Rows()
 	root := rng.New(cfg.Seed)
 	f := &Forest{Classes: classes}
-	oobVotes := mat.NewDense(n, classes)
-	oobSeen := make([]bool, n)
 
 	// Trees are independent given their seed, so they train in parallel on
 	// the shared worker pool; seeds are pre-split sequentially so results
@@ -121,29 +127,73 @@ func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, gr
 	if err != nil {
 		return nil, err
 	}
+	if err := f.score(ctx, x, y, inBags); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
 
-	// Out-of-bag voting, accumulated serially for determinism.
-	for t, tree := range f.Trees {
-		inBag := inBags[t]
-		for i := 0; i < n; i++ {
-			if inBag[i] {
-				continue
-			}
-			oobSeen[i] = true
-			row := oobVotes.Row(i)
-			for c, p := range tree.PredictProbs(x.Row(i)) {
-				row[c] += p
+// score sets OOBAccuracy and TrainAccuracy in one pass over the training
+// rows, fanned out in blocks over the pool carried by ctx. Trees are the
+// outer loop of a block, as in blockProbs. Each row sums every tree's leaf
+// distribution, in tree order, into its full vote and, for each tree
+// whose bag left the row out, into its out-of-bag vote. The full vote is
+// scaled by 1/T before its argmax as blockProbs does, so both verdicts
+// carry the bits of a per-tree serial OOB vote and of PredictAll.
+func (f *Forest) score(ctx context.Context, x *mat.Dense, y []int, inBags [][]bool) error {
+	pool := pipe.FromContext(ctx)
+	n := x.Rows()
+	k := f.Classes
+	size := blockRows(n, pool.Workers())
+	pred := make([]int, n)
+	oob := make([]int, n) // out-of-bag verdict, -1 where every bag drew the row
+	err := pool.ForEach(ctx, (n+size-1)/size, func(b int) {
+		lo := b * size
+		hi := min(lo+size, n)
+		full := make([]float64, (hi-lo)*k)
+		votes := make([]float64, (hi-lo)*k)
+		seen := make([]bool, hi-lo)
+		for t, tree := range f.Trees {
+			inBag := inBags[t]
+			for r := lo; r < hi; r++ {
+				p := tree.PredictProbs(x.Row(r))
+				a := full[(r-lo)*k : (r-lo+1)*k]
+				for c, v := range p {
+					a[c] += v
+				}
+				if !inBag[r] {
+					seen[r-lo] = true
+					o := votes[(r-lo)*k : (r-lo+1)*k]
+					for c, v := range p {
+						o[c] += v
+					}
+				}
 			}
 		}
+		inv := 1 / float64(len(f.Trees))
+		for r := lo; r < hi; r++ {
+			a := full[(r-lo)*k : (r-lo+1)*k]
+			for c := range a {
+				a[c] *= inv
+			}
+			pred[r] = argmax(a)
+			oob[r] = -1
+			if seen[r-lo] {
+				oob[r] = argmax(votes[(r-lo)*k : (r-lo+1)*k])
+			}
+		}
+	})
+	if err != nil {
+		return err
 	}
-
+	f.TrainAccuracy = agreement(pred, y)
 	correct, counted := 0, 0
-	for i := 0; i < n; i++ {
-		if !oobSeen[i] {
+	for i, v := range oob {
+		if v < 0 {
 			continue
 		}
 		counted++
-		if argmax(oobVotes.Row(i)) == y[i] {
+		if v == y[i] {
 			correct++
 		}
 	}
@@ -152,7 +202,7 @@ func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, gr
 	} else {
 		f.OOBAccuracy = float64(correct) / float64(counted)
 	}
-	return f, nil
+	return nil
 }
 
 // maxBlockRows caps the rows one predict block walks. 128 rows of the
@@ -248,17 +298,6 @@ func (f *Forest) Accuracy(x *mat.Dense, y []int) float64 {
 		f.predictBlock(x, lo, min(lo+maxBlockRows, n), acc, pred)
 	}
 	return agreement(pred, y)
-}
-
-// AccuracyContext is Accuracy with the verdicts computed by
-// PredictAllContext on the pool carried by ctx. A cancelled ctx returns
-// ctx.Err().
-func (f *Forest) AccuracyContext(ctx context.Context, x *mat.Dense, y []int) (float64, error) {
-	pred, err := f.PredictAllContext(ctx, x)
-	if err != nil {
-		return 0, err
-	}
-	return agreement(pred, y), nil
 }
 
 // agreement returns the fraction of pred that matches y (0 when empty).

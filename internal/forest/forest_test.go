@@ -1,11 +1,13 @@
 package forest
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mat"
+	"repro/internal/pipe"
 	"repro/internal/rng"
 )
 
@@ -264,5 +266,101 @@ func BenchmarkForestPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = f.Predict(row)
+	}
+}
+
+// TestTrainRejectsTooManyClasses: the split search keeps each bin's
+// classes in a uint64 mask, so 65 classes are an error from TrainContext
+// (and a panic from BuildTree), while 64 still train.
+func TestTrainRejectsTooManyClasses(t *testing.T) {
+	x, _ := labeledBlobs(2, 65, 3, 1, 4)
+	y := make([]int, x.Rows())
+	for i := range y {
+		y[i] = i % 65
+	}
+	if f, err := TrainContext(context.Background(), x, y, 65, Config{Trees: 3}); err == nil || f != nil {
+		t.Fatalf("TrainContext with 65 classes = %v, %v; want an error and no forest", f, err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("BuildTree with 65 classes did not panic")
+			}
+		}()
+		BuildTree(x, y, nil, 65, TreeConfig{}, rng.New(1))
+	}()
+	for i := range y {
+		y[i] = i % 64
+	}
+	f, err := TrainContext(context.Background(), x, y, 64, Config{Trees: 3, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc := f.Accuracy(x, y); acc < 0.5 {
+		t.Fatalf("64-class forest fits %v of its training rows", acc)
+	}
+}
+
+// TestScoreMatchesSerialVotes checks the pooled scoring pass against the
+// serial out-of-bag vote it replaced (every tree in order, each voting its
+// leaf distribution for the rows its bootstrap left out) and against
+// Accuracy on the training rows, bit for bit, on one and two workers.
+// Depth-3 trees keep the leaves fractional, so a vote out of tree order
+// would change bits.
+func TestScoreMatchesSerialVotes(t *testing.T) {
+	x, y := labeledBlobs(4, 60, 8, 2.5, 9)
+	cfg := Config{Trees: 40, MaxDepth: 3, Seed: 17}
+	for _, workers := range []int{1, 2} {
+		ctx := pipe.WithPool(context.Background(), pipe.NewPool(workers))
+		f, err := TrainContext(ctx, x, y, 4, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// Replay every tree's bootstrap draws from its pre-split seed.
+		n := x.Rows()
+		root := rng.New(cfg.Seed)
+		votes := mat.NewDense(n, 4)
+		seen := make([]bool, n)
+		for _, tree := range f.Trees {
+			r := root.Split()
+			inBag := make([]bool, n)
+			for range inBag {
+				inBag[r.Intn(n)] = true
+			}
+			for i := 0; i < n; i++ {
+				if inBag[i] {
+					continue
+				}
+				seen[i] = true
+				for c, p := range tree.PredictProbs(x.Row(i)) {
+					votes.Row(i)[c] += p
+				}
+			}
+		}
+		correct, counted := 0, 0
+		for i := 0; i < n; i++ {
+			if seen[i] {
+				counted++
+				if argmax(votes.Row(i)) == y[i] {
+					correct++
+				}
+			}
+		}
+		oob := float64(correct) / float64(counted)
+		if math.Float64bits(f.OOBAccuracy) != math.Float64bits(oob) {
+			t.Fatalf("workers %d: OOBAccuracy %v, serial vote %v", workers, f.OOBAccuracy, oob)
+		}
+		if acc := f.Accuracy(x, y); math.Float64bits(f.TrainAccuracy) != math.Float64bits(acc) {
+			t.Fatalf("workers %d: TrainAccuracy %v, Accuracy %v", workers, f.TrainAccuracy, acc)
+		}
+		if f.OOBAccuracy == f.TrainAccuracy || f.OOBAccuracy == 1 {
+			t.Fatalf("workers %d: OOB %v vs training %v; the fixture must tell the two votes apart", workers, f.OOBAccuracy, f.TrainAccuracy)
+		}
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := TrainContext(cancelled, x, y, 4, cfg); err != context.Canceled {
+		t.Fatalf("TrainContext on a cancelled context returned %v, want context.Canceled", err)
 	}
 }

@@ -147,27 +147,6 @@ func TestBlockKernelMatchesPerRowReference(t *testing.T) {
 		if acc := f.Accuracy(outdoor, labels); acc != 1 {
 			t.Fatalf("forest %d: accuracy against its own verdicts = %v, want 1", fi, acc)
 		}
-		// AccuracyContext scores the same verdicts on a pool.
-		shifted := make([]int, len(labels))
-		for r, l := range labels {
-			shifted[r] = l
-			if r%3 == 0 {
-				shifted[r] = (l + 1) % k
-			}
-		}
-		want := f.Accuracy(outdoor, shifted)
-		for _, workers := range []int{1, 2} {
-			ctx := pipe.WithPool(context.Background(), pipe.NewPool(workers))
-			got, err := f.AccuracyContext(ctx, outdoor, shifted)
-			if err != nil || math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("forest %d, workers %d: AccuracyContext = %v, %v; Accuracy = %v", fi, workers, got, err, want)
-			}
-		}
-		cancelled, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := f.AccuracyContext(cancelled, outdoor, shifted); err != context.Canceled {
-			t.Fatalf("forest %d: AccuracyContext on a cancelled context returned %v, want context.Canceled", fi, err)
-		}
 	}
 }
 

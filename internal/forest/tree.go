@@ -58,40 +58,36 @@ type TreeConfig struct {
 	Features int
 }
 
+// maxClasses is the most classes a tree can separate: the split search
+// keeps each histogram bin's classes in one uint64 mask.
+const maxClasses = 64
+
 // BuildTree grows a CART tree on the rows of x indexed by idx, with class
-// labels y in [0, classes). A nil idx uses every row. The split search is
-// histogram-binned (see Binning).
+// labels y in [0, classes) and at most 64 classes. A nil idx uses every
+// row. The split search is histogram-binned (see Binning).
 func BuildTree(x *mat.Dense, y []int, idx []int, classes int, cfg TreeConfig, r *rng.Source) *Tree {
-	if len(y) != x.Rows() {
-		//lint:allow nopanic paired features and labels derive from one training set
-		panic(fmt.Sprintf("forest: %d labels for %d rows", len(y), x.Rows()))
+	if len(y) != x.Rows() || classes > maxClasses {
+		//lint:allow nopanic paired features and labels derive from one training set with a fixed class count
+		panic(fmt.Sprintf("forest: %d labels for %d rows in %d classes (at most %d)", len(y), x.Rows(), classes, maxClasses))
 	}
 	return buildTreeBinned(x, BinFeatures(x), y, idx, classes, cfg, r)
 }
 
 // buildTreeBinned grows a CART tree with histogram-binned split finding.
 // The binning is typically shared across a whole forest; idx may be nil
-// (every row) and is copied into a scratch arena, never mutated.
+// (every row) and is never mutated. A bootstrap sample draws about 37% of
+// its indices as repeats, so the grower works on the sample's distinct
+// rows, each weighted by its multiplicity: every count, fill and MinLeaf
+// check sums weights, which gives the integers the duplicate-index
+// sample would, while the fill and the partition visit each row once.
 func buildTreeBinned(x *mat.Dense, bins *Binning, y []int, idx []int, classes int, cfg TreeConfig, r *rng.Source) *Tree {
 	if cfg.MinLeaf < 1 {
 		cfg.MinLeaf = 1
 	}
-	n := x.Rows()
-	if idx != nil {
-		n = len(idx)
-	}
-	s := getScratch(x.Cols(), classes, n)
+	s := getScratch(x.Cols(), classes, x.Rows())
 	defer putScratch(s)
-	root := s.idx[:n]
-	if idx == nil {
-		for i := range root {
-			root[i] = i
-		}
-	} else {
-		copy(root, idx)
-	}
 	g := &binGrow{x: x, bins: bins, y: y, classes: classes, cfg: cfg, r: r, s: s}
-	g.grow(root, 0)
+	g.grow(s.weigh(idx), 0)
 	return &Tree{Nodes: g.nodes, Probs: g.probs, Classes: classes}
 }
 
@@ -106,47 +102,51 @@ type binGrow struct {
 	nodes   []Node
 	probs   []float64
 	s       *growScratch
+	// noPrune scores every boundary in full; only the parity tests set it.
+	noPrune bool
 }
 
-// grow builds the subtree over idx — a slice of the scratch index arena
-// that sibling nodes partition in place — and returns its arena index.
-// The scratch counts buffer is done being read before either child
-// recurses, so one buffer serves every depth.
+// grow builds the subtree over idx — distinct rows weighted by s.mult, a
+// slice of the scratch row arena that sibling nodes partition in place —
+// and returns its arena index. The scratch counts buffer is done being
+// read before either child recurses, so one buffer serves every depth.
 func (g *binGrow) grow(idx []int, depth int) int {
 	counts := g.s.counts[:g.classes]
-	for c := range counts {
-		counts[c] = 0
-	}
+	clear(counts)
+	mult := g.s.mult
+	total := 0
 	for _, i := range idx {
-		counts[g.y[i]]++
+		counts[g.y[i]] += mult[i]
+		total += mult[i]
 	}
 	nodeIdx := len(g.nodes)
-	g.nodes = append(g.nodes, Node{Feature: -1, Samples: int32(len(idx))})
+	g.nodes = append(g.nodes, Node{Feature: -1, Samples: int32(total)})
 
 	stop := pure(counts) ||
-		len(idx) < 2*g.cfg.MinLeaf ||
+		total < 2*g.cfg.MinLeaf ||
 		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth)
 	if !stop {
 		feature, threshold, ok := g.bestSplit(idx, counts)
 		if ok {
-			// Stable in-place partition: left-bound samples compact to the
-			// front of idx, right-bound samples spill to the aux arena and
-			// copy back behind them. Order matches the append-based
-			// partition of the exact path, so recursion order — and with
-			// it RNG consumption — is identical.
+			// Stable in-place partition: left-bound rows compact to the
+			// front of idx, right-bound rows spill to the aux arena and
+			// copy back behind them. Children recurse left first, so
+			// recursion order — and with it RNG consumption — matches the
+			// exact path's.
 			aux := g.s.aux
-			nl, na := 0, 0
+			nl, na, wl := 0, 0, 0
 			for _, i := range idx {
 				if g.x.At(i, feature) <= threshold {
 					idx[nl] = i
 					nl++
+					wl += mult[i]
 				} else {
 					aux[na] = i
 					na++
 				}
 			}
 			copy(idx[nl:], aux[:na])
-			if nl >= g.cfg.MinLeaf && na >= g.cfg.MinLeaf {
+			if wl >= g.cfg.MinLeaf && total-wl >= g.cfg.MinLeaf {
 				l := g.grow(idx[:nl], depth+1)
 				r := g.grow(idx[nl:], depth+1)
 				g.nodes[nodeIdx].Feature = int32(feature)
@@ -157,7 +157,7 @@ func (g *binGrow) grow(idx []int, depth int) int {
 			}
 		}
 	}
-	g.probs = appendLeaf(g.nodes, nodeIdx, g.probs, counts, len(idx))
+	g.probs = appendLeaf(g.nodes, nodeIdx, g.probs, counts, total)
 	return nodeIdx
 }
 
@@ -172,19 +172,58 @@ func appendLeaf(nodes []Node, i int, probs []float64, counts []int, total int) [
 	return probs
 }
 
-// bestSplit finds the Gini-optimal split over a random feature subset by
-// accumulating a per-bin class-count histogram (one O(n) pass per feature
-// instead of an O(n log n) sort) and scanning bin boundaries cumulatively.
-// Candidate boundaries sit between consecutive bins that are non-empty at
-// this node — exactly the adjacent-distinct-value positions the exact
-// search visits — scanned in the same ascending order with the same
-// strict-improvement rule, so exact-mode columns reproduce its choices
-// bit for bit.
+// pruneEta is the margin of the pruned scoring in bestSplit: a boundary
+// whose exact gain is at least pruneEta below the best float gain so far
+// is skipped without its float score.
+const pruneEta = 1e-9
+
+// pruneSafe reports whether a node of total weighted samples may use the
+// pruned scoring: whether 2·total³ < 2^53, so the integer products the
+// prune compares convert to float64 exactly (see bestSplit). The first
+// clause keeps 2·total³ itself inside int64.
+func pruneSafe(total int) bool {
+	return total < 1<<20 && 2*total*total*total < 1<<53
+}
+
+// pruneBound returns the scaled score q such that a boundary with
+// ssL·nR + ssR·nL <= q·nL·nR cannot beat bestGain (see bestSplit).
+func pruneBound(bestGain, parentGini float64, total int) float64 {
+	return (bestGain + 1 - parentGini - pruneEta) * float64(total)
+}
+
+// bestSplit finds the Gini-optimal split of the weighted rows idx over a
+// random feature subset by accumulating a per-bin class-count histogram
+// (one O(n) pass per feature instead of an O(n log n) sort) and scanning
+// bin boundaries cumulatively. Candidate boundaries sit between
+// consecutive bins that are non-empty at this node — exactly the
+// adjacent-distinct-value positions the exact search visits — scanned in
+// the same ascending order with the same strict-improvement rule, so
+// exact-mode columns reproduce its choices bit for bit.
 //
 // The scan touches only what the node holds: the fill marks each occupied
-// bin in a 256-bit bitmap that the scan walks word by word, and each bin's
-// update runs over the classes present at the node. An absent class has
-// a zero count in every bin, so skipping it changes no integer.
+// bin in a 256-bit bitmap that the scan walks word by word, and ORs each
+// row's class into its bin's class mask, so a bin's update runs over the
+// classes that bin holds. A class absent from a bin adds zero to every
+// count, so skipping it changes no integer.
+//
+// Pruned scoring. Both scans keep ssL and ssR, the integer sums of squared
+// class counts left and right of the boundary. The weighted Gini of a
+// boundary is exactly 1 − S/total with S = ssL/nL + ssR/nR, so its exact
+// gain is G = parentGini − 1 + S/total, and G > bestGain exactly when
+// ssL·nR + ssR·nL > (bestGain + 1 − parentGini)·total·nL·nR. A boundary is
+// skipped when ssL·nR + ssR·nL <= qmax·nL·nR with qmax = pruneBound(…),
+// which puts its G at most pruneEta (1e-9) plus a few ulps below bestGain.
+// The float gains the scans compute are each within 1e-13 of G (about
+// 1e-14 at K = 9: a Gini sum over at most 64 classes with a handful of
+// roundings per term, on values of order 1), so
+// a skipped boundary's float gain is below bestGain and could not have
+// passed the strict > test; every other boundary is scored by the
+// unchanged float expressions, so the chosen split is bit-identical to a
+// full scan, ties included. The comparison is exact as long as its integer
+// operands are: ssL <= nL² and ssR <= nR², so ssL·nR + ssR·nL <=
+// nL·nR·total <= total³ and nL·nR <= total², and pruneSafe admits only
+// nodes with 2·total³ < 2^53, where both convert to float64 without
+// rounding (and no int64 product overflows).
 func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, threshold float64, ok bool) {
 	nFeatures := g.x.Cols()
 	candidates := nFeatures
@@ -195,30 +234,30 @@ func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, thresho
 	g.r.PermInto(perm)
 	perm = perm[:candidates]
 
-	total := len(idx)
+	// Node weight and parent sum of squared class counts, shared by every
+	// feature scan of this node.
+	total, parentSq := 0, 0
+	for _, n := range parentCounts {
+		total += n
+		parentSq += n * n
+	}
 	parentGini := gini(parentCounts, total)
 	bestGain := 1e-12
-	ok = false
-
-	// Parent sum of squared class counts, shared by every quantile-mode
-	// feature scan of this node, and the node's classes in ascending order.
-	parentSq := 0
-	present := g.s.present[:0]
-	for c, n := range parentCounts {
-		if n != 0 {
-			parentSq += n * n
-			present = append(present, c)
-		}
-	}
+	prune := !g.noPrune && pruneSafe(total)
+	qmax := pruneBound(bestGain, parentGini, total)
+	lo, hi := 0, 0 // the best boundary's bins
 
 	leftCounts := g.s.left[:g.classes]
 	rightCounts := g.s.right[:g.classes]
 
-	// hist is all-zero on entry (the scratch invariant); each feature's
-	// fill is undone bin by bin as the boundary scan consumes it, so
-	// per-node cost tracks the bins actually touched instead of the full
-	// MaxBins × classes arena. occ likewise returns to zero word by word.
+	// hist and mask are all-zero on entry (the scratch invariant); each
+	// feature's fill is undone bin by bin as the boundary scan consumes
+	// it, so per-node cost tracks the bins actually touched instead of the
+	// full MaxBins × classes arena. occ likewise returns to zero word by
+	// word.
 	hist := g.s.hist
+	mask := &g.s.mask
+	mult := g.s.mult
 	classes := g.classes
 	y := g.y
 	var occ [MaxBins / 64]uint64
@@ -226,56 +265,17 @@ func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, thresho
 	for _, f := range perm {
 		col := g.bins.codes.Col(f)
 		for _, i := range idx {
-			b := col[i]
-			hist[int(b)*classes+y[i]]++
+			b, c := col[i], y[i]
+			hist[int(b)*classes+c] += mult[i]
+			mask[b] |= 1 << c
 			occ[b>>6] |= 1 << (b & 63)
 		}
 
 		copy(rightCounts, parentCounts)
 		clear(leftCounts)
-		nLeft := 0
+		exact := g.bins.feats[f].Exact
+		nLeft, ssL, ssR := 0, 0, parentSq
 		prev := -1
-		if g.bins.feats[f].Exact {
-			// Exact-mode scan: evaluate each boundary with the same gini()
-			// float sequence as the sort-based search — this is the path the
-			// bit-identical parity contract covers.
-			for w := range occ {
-				word := occ[w]
-				occ[w] = 0
-				for ; word != 0; word &= word - 1 {
-					b := w<<6 | bits.TrailingZeros64(word)
-					if prev >= 0 {
-						gl := gini(leftCounts, nLeft)
-						gr := gini(rightCounts, total-nLeft)
-						weighted := (float64(nLeft)*gl + float64(total-nLeft)*gr) / float64(total)
-						if gain := parentGini - weighted; gain > bestGain {
-							bestGain = gain
-							feature = f
-							threshold = g.bins.splitThreshold(f, prev, b)
-							ok = true
-						}
-					}
-					row := hist[b*classes : b*classes+classes]
-					for _, c := range present {
-						h := row[c]
-						leftCounts[c] += h
-						rightCounts[c] -= h
-						nLeft += h
-						row[c] = 0
-					}
-					prev = b
-				}
-			}
-			continue
-		}
-		// Quantile-mode scan: same boundaries, same ascending order and
-		// strict-improvement rule, but each side's Gini comes from integer
-		// sums of squared class counts maintained incrementally as bins
-		// cross the boundary — three divisions per boundary instead of one
-		// per class per side. Quantile bins are new in the histogram path,
-		// so no bit-level contract binds the arithmetic; the score is
-		// algebraically the same weighted Gini.
-		ssL, ssR := 0, parentSq
 		for w := range occ {
 			word := occ[w]
 			occ[w] = 0
@@ -283,16 +283,33 @@ func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, thresho
 				b := w<<6 | bits.TrailingZeros64(word)
 				if prev >= 0 {
 					nRight := total - nLeft
-					weighted := 1 - (float64(ssL)/float64(nLeft)+float64(ssR)/float64(nRight))/float64(total)
-					if gain := parentGini - weighted; gain > bestGain {
-						bestGain = gain
-						feature = f
-						threshold = g.bins.splitThreshold(f, prev, b)
-						ok = true
+					if !prune || float64(ssL*nRight+ssR*nLeft) > qmax*float64(nLeft*nRight) {
+						var weighted float64
+						if exact {
+							// The same gini() float sequence as the
+							// sort-based search: the path the bit-identical
+							// parity contract covers.
+							gl := gini(leftCounts, nLeft)
+							gr := gini(rightCounts, nRight)
+							weighted = (float64(nLeft)*gl + float64(nRight)*gr) / float64(total)
+						} else {
+							// Quantile bins are new in the histogram path,
+							// so no bit-level contract binds the arithmetic:
+							// three divisions per boundary instead of one
+							// per class per side.
+							weighted = 1 - (float64(ssL)/float64(nLeft)+float64(ssR)/float64(nRight))/float64(total)
+						}
+						if gain := parentGini - weighted; gain > bestGain {
+							bestGain = gain
+							qmax = pruneBound(bestGain, parentGini, total)
+							feature, lo, hi = f, prev, b
+							ok = true
+						}
 					}
 				}
 				row := hist[b*classes : b*classes+classes]
-				for _, c := range present {
+				for m := mask[b]; m != 0; m &= m - 1 {
+					c := bits.TrailingZeros64(m)
 					h := row[c]
 					ssL += h * (h + 2*leftCounts[c])
 					ssR += h * (h - 2*rightCounts[c])
@@ -301,11 +318,15 @@ func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, thresho
 					nLeft += h
 					row[c] = 0
 				}
+				mask[b] = 0
 				prev = b
 			}
 		}
 	}
-	return feature, threshold, ok
+	if !ok {
+		return 0, 0, false
+	}
+	return feature, g.bins.splitThreshold(feature, lo, hi), true
 }
 
 func gini(counts []int, total int) float64 {
