@@ -554,7 +554,7 @@ func (e *chaosEnv) schedule(seed uint64, out *chaosScheduleRecord) error {
 	var colTasks pipe.Tasks
 	colTasks.Go(func() { _ = col.Serve(s.ctx) })
 	defer func() { cancel(); colTasks.Wait() }()
-	srv, err := serve.New(e.snaps[0], nil, serve.Config{QueueDepth: 16, IngestWorkers: 2, Faults: s.inj})
+	srv, err := serve.New(e.snaps[0], nil, serve.Config{QueueDepth: 16, Faults: s.inj})
 	if err != nil {
 		return err
 	}
@@ -645,7 +645,7 @@ func (e *chaosEnv) schedule(seed uint64, out *chaosScheduleRecord) error {
 		s.fail(fmt.Errorf("metrics: %w", err))
 	}
 
-	out.FoldedRecords = s.end(srv.Shutdown, func() int { return srv.Sink().Snapshot().Records })
+	out.FoldedRecords = s.end(srv.Shutdown, func() int { return srv.Ingest().FoldedRecords() })
 	out.AckedBatches, out.RejectedBatches = s.ingest.acked, s.ingest.rejected
 	cancel() // stops the collector
 	colTasks.Wait()
@@ -667,7 +667,7 @@ func (e *chaosEnv) schedule(seed uint64, out *chaosScheduleRecord) error {
 func (e *chaosEnv) swapStorm(seed uint64, out *swapStormRecord) error {
 	s, cancel := e.newSoak(seed, &out.legCounts, 5*time.Minute)
 	defer cancel()
-	srv, err := serve.New(e.snaps[0], nil, serve.Config{QueueDepth: 64, IngestWorkers: 2, Faults: s.inj})
+	srv, err := serve.New(e.snaps[0], nil, serve.Config{QueueDepth: 64, Faults: s.inj})
 	if err != nil {
 		return err
 	}
@@ -703,7 +703,7 @@ func (e *chaosEnv) swapStorm(seed uint64, out *swapStormRecord) error {
 		}
 		return s.postStorm(iter, 5, func(j int) int { return (iter*13 + j*spread) % nIndoor })
 	}
-	pending := func() bool { return srv.Sink().Snapshot().Records < s.ingest.records }
+	pending := func() bool { return srv.Ingest().FoldedRecords() < s.ingest.records }
 	for _, ro := range s.refreshUntil(stormSwaps, 3*stormSwaps+10, ingest, pending, ref.RefreshOnce) {
 		out.Refreshes++
 		if ro.Stats.Escalated {
@@ -716,7 +716,7 @@ func (e *chaosEnv) swapStorm(seed uint64, out *swapStormRecord) error {
 
 	// The drain itself stays bounded even with the storm's history behind
 	// it, and every acked batch is folded.
-	s.end(srv.Shutdown, func() int { return srv.Sink().Snapshot().Records })
+	s.end(srv.Shutdown, func() int { return srv.Ingest().FoldedRecords() })
 	out.RevisionsSeen = len(s.audit.revs)
 	return s.err()
 }

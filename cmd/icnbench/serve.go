@@ -175,7 +175,7 @@ func runServeBench(cfg analysis.Config, outPath string) error {
 			DownBytes:  2 << 20, UpBytes: 1 << 18,
 		})
 	}
-	srv.Sink().AddBatch(recs)
+	srv.Ingest().Fold(recs)
 	rctx, rcancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	rout, err := ref.RefreshOnce(rctx)
 	rcancel()
@@ -356,7 +356,7 @@ func runForecastLeg(srv *serve.Server, ref *serve.Refresher, res *analysis.Resul
 			DownBytes:  5 << 20, UpBytes: 1 << 18,
 		})
 	}
-	srv.Sink().AddBatch(recs)
+	srv.Ingest().Fold(recs)
 	rctx, rcancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	rout, err := ref.RefreshOnce(rctx)
 	rcancel()

@@ -2,12 +2,13 @@
 // trains a model snapshot by running the offline pipeline on a synthetic
 // campaign, then serves probe-batch ingest and Eq. 5 + surrogate-forest
 // classification over HTTP until SIGINT/SIGTERM, draining in-flight ingest
-// batches on the way out.
+// batches on the way out. Ingest folds through a one-shard tier: one
+// bounded queue of -queue batches and one drain worker.
 //
 // Usage:
 //
 //	icnserve -addr 127.0.0.1:9470 [-seed N] [-scale F] [-trees N]
-//	         [-queue N] [-workers N] [-timeout D] [-cache N]
+//	         [-queue N] [-timeout D] [-cache N]
 //	         [-refresh-interval D] [-drift-threshold F]
 //	icnserve -sample DIR [-seed N] [-scale F]   # write curl-able bodies, exit
 //
@@ -48,7 +49,6 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "training-campaign scale (1 = paper's full population)")
 	trees := flag.Int("trees", 50, "surrogate forest size")
 	queue := flag.Int("queue", 64, "ingest queue depth in batches")
-	workers := flag.Int("workers", 2, "ingest drain workers")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request deadline")
 	cacheSize := flag.Int("cache", 4096, "classify LRU capacity (entries)")
 	refreshEvery := flag.Duration("refresh-interval", 0, "continuous model refresh period (0 disables the refresh loop)")
@@ -80,7 +80,6 @@ func main() {
 	srv, err := serve.New(snap, nil, serve.Config{
 		Addr:           *addr,
 		QueueDepth:     *queue,
-		IngestWorkers:  *workers,
 		RequestTimeout: *timeout,
 		CacheSize:      *cacheSize,
 	})

@@ -9,27 +9,51 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"sort"
 
 	icn "repro"
 	"repro/internal/envmodel"
+	"repro/internal/synth"
 )
 
+// datasetConfig is the campaign the scan runs on.
+var datasetConfig = icn.DatasetConfig{Seed: 9, Scale: 0.15, OutdoorCount: 10}
+
+// burstThreshold is the detector's cut, in MADs above the median day peak.
+const burstThreshold = 6.0
+
 func main() {
-	ds := icn.GenerateDataset(icn.DatasetConfig{Seed: 9, Scale: 0.15, OutdoorCount: 10})
+	if err := run(context.Background(), os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// eventVenue reports whether a is a stadium or expo antenna with at least
+// one scheduled event: the antennas the scan covers.
+func eventVenue(a *synth.Antenna) bool {
+	return (a.Env == envmodel.Stadium || a.Env == envmodel.Expo) && len(a.Events()) > 0
+}
+
+// run scans every event venue and prints the first venue's bursts and the
+// detector's precision and recall to w.
+func run(ctx context.Context, w io.Writer) error {
+	ds := icn.GenerateDataset(datasetConfig)
 
 	var truePositives, falseNegatives, falsePositives, venues int
 	for _, a := range ds.Indoor {
-		if a.Env != envmodel.Stadium && a.Env != envmodel.Expo {
-			continue
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if len(a.Events()) == 0 {
+		if !eventVenue(a) {
 			continue
 		}
 		venues++
-		series := ds.HourlyTotals(a)
-		detected := detectBurstDays(series, 6.0)
+		detected := detectBurstDays(ds.HourlyTotals(a), burstThreshold)
 
 		actual := map[int]bool{}
 		for _, ev := range a.Events() {
@@ -50,7 +74,7 @@ func main() {
 			}
 		}
 		if venues == 1 {
-			fmt.Printf("example venue %s (%s):\n", a.Name, a.Env)
+			fmt.Fprintf(w, "example venue %s (%s):\n", a.Name, a.Env)
 			var days []int
 			for d := range detected {
 				days = append(days, d)
@@ -61,16 +85,17 @@ func main() {
 				if actual[d] {
 					marker = "matches scheduled event"
 				}
-				fmt.Printf("  burst on %s — %s\n", ds.Cal.DateString(d), marker)
+				fmt.Fprintf(w, "  burst on %s — %s\n", ds.Cal.DateString(d), marker)
 			}
 		}
 	}
 
 	precision := float64(truePositives) / float64(truePositives+falsePositives)
 	recall := float64(truePositives) / float64(truePositives+falseNegatives)
-	fmt.Printf("\nscanned %d event venues\n", venues)
-	fmt.Printf("event-day detection: precision %.2f, recall %.2f (%d TP / %d FP / %d FN)\n",
+	fmt.Fprintf(w, "\nscanned %d event venues\n", venues)
+	fmt.Fprintf(w, "event-day detection: precision %.2f, recall %.2f (%d TP / %d FP / %d FN)\n",
 		precision, recall, truePositives, falsePositives, falseNegatives)
+	return nil
 }
 
 // detectBurstDays flags days whose peak hourly traffic exceeds the venue's

@@ -223,7 +223,7 @@ func NewModelSnapshot(res *Result) (*ModelSnapshot, error) {
 }
 
 // ServeConfig parameterizes the online classification service: listen
-// address, ingest queue depth and workers, request deadline, classify
+// address, its one-shard ingest queue's depth, request deadline, classify
 // cache size, body and per-request antenna bounds, and fault injection.
 type ServeConfig = serve.Config
 
@@ -260,8 +260,8 @@ type AntennaVerdict = serve.AntennaVerdict
 type Refresher = serve.Refresher
 
 // RefreshConfig parameterizes a Refresher: tick interval, drift
-// threshold, revision history, a log hook, and the Totals and OnSwap seams
-// the sharded router fills in.
+// threshold, revision history, a log hook, and the OnSwap seam the sharded
+// router fills in. A refresh folds its server's ingest tier.
 type RefreshConfig = serve.RefreshConfig
 
 // RefreshInfo is the refresh telemetry served under /v1/model.
@@ -323,9 +323,10 @@ const (
 type ShardConfig = shard.Config
 
 // Router is the sharded front door: probe ingest partitioned across N
-// shard sinks by consistent hash with all-or-nothing batch acks, classify
-// traffic proxied round-robin over M replicas with failover, and every
-// refreshed snapshot fanned out so all replicas serve one revision.
+// shard sinks by consistent hash with all-or-nothing batch acks (a
+// replica's own /v1/ingest feeds the same sinks), classify traffic proxied
+// round-robin over M replicas with failover, and every refreshed snapshot
+// fanned out so all replicas serve one revision.
 type Router = shard.Router
 
 // RouterStats is the router's /v1/stats payload: acked-batch accounting,
@@ -339,7 +340,7 @@ type RingStats = shard.RingStats
 type ReplicaStats = shard.ReplicaStats
 
 // ShardSinkStats is one shard's queue depth and fold progress.
-type ShardSinkStats = shard.SinkStats
+type ShardSinkStats = serve.SinkStats
 
 // NewRouter builds the sharded layer around a trained snapshot. base is
 // the offline result the snapshot came from; when non-nil a refresh

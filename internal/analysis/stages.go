@@ -124,17 +124,24 @@ func AddClusterStages(g *pipe.Graph, ds *synth.Dataset, cfg Config, feats *Featu
 
 	g.Add("labels", []string{"linkage"}, func(ctx context.Context) error {
 		out.K = cfg.K
-		rawLabels, err := out.Linkage.Cut(out.K)
-		if err != nil {
-			return fmt.Errorf("flat cut: %w", err)
-		}
-		out.Alignment = alignLabels(rawLabels, ds, out.K)
-		out.Labels = make([]int, len(rawLabels))
-		for i, l := range rawLabels {
-			out.Labels[i] = out.Alignment[l]
-		}
-		return nil
+		return out.cutAndAlign(ds)
 	})
+}
+
+// cutAndAlign cuts c.Linkage into c.K flat clusters and renumbers them to
+// the paper's cluster ids (alignLabels), filling Alignment and Labels. The
+// cold "labels" stage and the warm "assign" stage's escalation share it.
+func (c *ClusterArtifacts) cutAndAlign(ds *synth.Dataset) error {
+	rawLabels, err := c.Linkage.Cut(c.K)
+	if err != nil {
+		return fmt.Errorf("flat cut: %w", err)
+	}
+	c.Alignment = alignLabels(rawLabels, ds, c.K)
+	c.Labels = make([]int, len(rawLabels))
+	for i, l := range rawLabels {
+		c.Labels[i] = c.Alignment[l]
+	}
+	return nil
 }
 
 // AddModelStages registers the model sub-graph: "forest" (the Section 5.1.2

@@ -107,16 +107,7 @@ func WarmRefreshContext(ctx context.Context, prev *Result, traffic *mat.Dense, d
 			return err
 		}
 		clus.Linkage = cluster.WardFromSqDistances(d2)
-		rawLabels, err := clus.Linkage.Cut(clus.K)
-		if err != nil {
-			return fmt.Errorf("flat cut: %w", err)
-		}
-		clus.Alignment = alignLabels(rawLabels, &nds, clus.K)
-		clus.Labels = make([]int, len(rawLabels))
-		for i, l := range rawLabels {
-			clus.Labels[i] = clus.Alignment[l]
-		}
-		return nil
+		return clus.cutAndAlign(&nds)
 	})
 
 	AddModelStages(g, &nds, cfg, feats, clus, model, "assign")

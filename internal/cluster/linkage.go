@@ -56,120 +56,34 @@ func Agglomerative(x *mat.Dense, method Method) *Linkage {
 }
 
 // agglomerateFromDistances runs the NN-chain over a condensed Euclidean
-// distance matrix, consuming it.
+// distance matrix, consuming it. Merge heights are the merged distances.
 func agglomerateFromDistances(d *mat.Condensed, method Method) *Linkage {
-	n := d.N()
-	active := make([]bool, n)
-	size := make([]int, n)
-	node := make([]int, n)
-	for i := range active {
-		active[i] = true
-		size[i] = 1
-		node[i] = i
-	}
-	type rawMerge struct {
-		a, b   int
-		height float64
-		size   int
-	}
-	raw := make([]rawMerge, 0, n-1)
-	chain := make([]int, 0, n)
-	remaining := n
-	nextSlotScan := 0
-
-	update := func(dst, src, k int, dij float64) float64 {
-		dik := d.At(dst, k)
-		djk := d.At(src, k)
-		switch method {
-		case MethodComplete:
-			return math.Max(dik, djk)
-		case MethodAverage:
-			ni, nj := float64(size[dst]), float64(size[src])
-			return (ni*dik + nj*djk) / (ni + nj)
-		case MethodSingle:
-			return math.Min(dik, djk)
-		}
-		// Method is an enum validated by Agglomerative's entry point;
-		// reaching here means a new Method constant missed a case.
-		//lint:allow nopanic exhaustive-switch guard over an internal enum
-		panic("cluster: unsupported method in update")
-	}
-
-	for remaining > 1 {
-		if len(chain) == 0 {
-			for !active[nextSlotScan] {
-				nextSlotScan++
-			}
-			chain = append(chain, nextSlotScan)
-		}
-		x := chain[len(chain)-1]
-		prev := -1
-		if len(chain) >= 2 {
-			prev = chain[len(chain)-2]
-		}
-		best := -1
-		bestD := math.Inf(1)
-		if prev >= 0 {
-			bestD = d.At(x, prev)
-			best = prev
-		}
-		for y := 0; y < n; y++ {
-			if y == x || !active[y] {
+	merge := func(d *mat.Condensed, active []bool, size []int, src, dst int, dij float64) {
+		ni, nj := float64(size[dst]), float64(size[src])
+		for k := 0; k < len(active); k++ {
+			if k == src || k == dst || !active[k] {
 				continue
 			}
-			if dv := d.At(x, y); dv < bestD {
-				bestD = dv
-				best = y
+			dik := d.At(dst, k)
+			djk := d.At(src, k)
+			var v float64
+			switch method {
+			case MethodComplete:
+				v = math.Max(dik, djk)
+			case MethodAverage:
+				v = (ni*dik + nj*djk) / (ni + nj)
+			case MethodSingle:
+				v = math.Min(dik, djk)
+			default:
+				// Method is an enum validated by Agglomerative's entry point;
+				// reaching here means a new Method constant missed a case.
+				//lint:allow nopanic exhaustive-switch guard over an internal enum
+				panic("cluster: unsupported method in update")
 			}
+			d.Set(dst, k, v)
 		}
-		if best == prev && prev >= 0 {
-			chain = chain[:len(chain)-2]
-			for k := 0; k < n; k++ {
-				if k == x || k == prev || !active[k] {
-					continue
-				}
-				d.Set(prev, k, update(prev, x, k, bestD))
-			}
-			size[prev] += size[x]
-			active[x] = false
-			raw = append(raw, rawMerge{a: node[prev], b: node[x], height: bestD, size: size[prev]})
-			node[prev] = n + len(raw) - 1
-			remaining--
-		} else {
-			chain = append(chain, best)
-		}
+		size[dst] += size[src]
+		active[src] = false
 	}
-
-	// Sort ascending by height and relabel, as in Ward.
-	order := make([]int, len(raw))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && raw[order[j]].height < raw[order[j-1]].height; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	relabel := make(map[int]int, len(raw))
-	merges := make([]Merge, len(raw))
-	for newIdx, oldIdx := range order {
-		m := raw[oldIdx]
-		a, b := m.a, m.b
-		if a >= n {
-			if v, ok := relabel[a]; ok {
-				a = v
-			}
-		}
-		if b >= n {
-			if v, ok := relabel[b]; ok {
-				b = v
-			}
-		}
-		if a > b {
-			a, b = b, a
-		}
-		merges[newIdx] = Merge{A: a, B: b, Height: m.height, Size: m.size}
-		relabel[n+oldIdx] = n + newIdx
-	}
-	return &Linkage{N: n, Merges: merges}
+	return nnChain(d, merge, func(h float64) float64 { return h })
 }

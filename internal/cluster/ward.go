@@ -48,8 +48,18 @@ func Ward(x *mat.Dense) *Linkage {
 
 // WardFromSqDistances runs Ward clustering from a precomputed condensed
 // matrix of squared Euclidean distances. The input is consumed (mutated).
+// Merge heights are the square roots of the merged squared distances.
 func WardFromSqDistances(d2 *mat.Condensed) *Linkage {
-	n := d2.N()
+	return nnChain(d2, mergeInto, math.Sqrt)
+}
+
+// nnChain runs the nearest-neighbor-chain algorithm over a condensed
+// distance matrix, consuming it. merge is the method's Lance-Williams
+// step: it folds slot src into slot dst, rewriting dst's distance to every
+// other active slot, then grows size[dst] and deactivates src. height maps
+// a merged distance to its dendrogram height.
+func nnChain(d *mat.Condensed, merge func(d *mat.Condensed, active []bool, size []int, src, dst int, dij float64), height func(float64) float64) *Linkage {
+	n := d.N()
 	active := make([]bool, n)
 	size := make([]int, n)
 	node := make([]int, n) // current dendrogram node id held by each slot
@@ -88,14 +98,14 @@ func WardFromSqDistances(d2 *mat.Condensed) *Linkage {
 		best := -1
 		bestD := math.Inf(1)
 		if prev >= 0 {
-			bestD = d2.At(x, prev)
+			bestD = d.At(x, prev)
 			best = prev
 		}
 		for y := 0; y < n; y++ {
 			if y == x || !active[y] {
 				continue
 			}
-			if dv := d2.At(x, y); dv < bestD {
+			if dv := d.At(x, y); dv < bestD {
 				bestD = dv
 				best = y
 			}
@@ -103,10 +113,10 @@ func WardFromSqDistances(d2 *mat.Condensed) *Linkage {
 		if best == prev && prev >= 0 {
 			// Reciprocal nearest neighbors: merge x and prev.
 			chain = chain[:len(chain)-2]
-			mergeInto(d2, active, size, x, prev, bestD)
+			merge(d, active, size, x, prev, bestD)
 			raw = append(raw, rawMerge{
 				a: node[prev], b: node[x],
-				height: math.Sqrt(bestD),
+				height: height(bestD),
 				size:   size[prev],
 			})
 			node[prev] = n + len(raw) - 1 // provisional id, relabeled below

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/envmodel"
 	"repro/internal/mat"
+	"repro/internal/rca"
 	"repro/internal/report"
 	"repro/internal/services"
 	"repro/internal/shap"
@@ -307,18 +308,18 @@ func (s *Suite) AblationFeatureTransform() Artifact {
 	// Alternative feature sets compute squared distances once and share
 	// them between Ward (which consumes them) and Silhouette (which wants
 	// the Euclidean copy) — the same sharing the pipeline does for RSCA.
-	evaluate := func(features *matDense) (float64, float64) {
+	evaluate := func(features *mat.Dense) (float64, float64) {
 		d2 := mat.PairwiseSqDist(features)
 		d := cluster.PairwiseDistancesFromSq(d2)
 		labels := cluster.WardFromSqDistances(d2).CutK(s.Res.K)
-		return cluster.MustSilhouette(d, labels), analysisARI(labels, truth)
+		return cluster.MustSilhouette(d, labels), analysis.ARI(labels, truth)
 	}
 	// The RSCA column reuses the pipeline's own linkage and distances.
 	rscaLabels := s.Res.Linkage.CutK(s.Res.K)
 	rscaSil := cluster.MustSilhouette(s.Res.Distances(), rscaLabels)
-	rscaARI := analysisARI(rscaLabels, truth)
-	rcaSil, rcaARI := evaluate(rcaOf(t))
-	normSil, normARI := evaluate(normOf(t))
+	rscaARI := analysis.ARI(rscaLabels, truth)
+	rcaSil, rcaARI := evaluate(rca.RCA(t))
+	normSil, normARI := evaluate(rca.NormalizeByGlobalMax(t))
 
 	tb := report.NewTable("Ablation: clustering features", "features", "silhouette", "ARI vs ground truth")
 	tb.AddRow("RSCA (paper)", rscaSil, rscaARI)
@@ -348,8 +349,8 @@ func (s *Suite) AblationWardVsKMeans() Artifact {
 	if err != nil {
 		return failedArtifact("A2", ablationTitle, err)
 	}
-	wardARI := analysisARI(s.Res.Labels, truth)
-	kmARI := analysisARI(km.Labels, truth)
+	wardARI := analysis.ARI(s.Res.Labels, truth)
+	kmARI := analysis.ARI(km.Labels, truth)
 	d := s.Res.Distances()
 	wardSil := cluster.MustSilhouette(d, s.Res.Labels)
 	kmSil := cluster.MustSilhouette(d, km.Labels)
@@ -376,12 +377,12 @@ func (s *Suite) AblationLinkages() Artifact {
 		truth[i] = a.Archetype
 	}
 	tb := report.NewTable("Ablation: linkage criterion at k=9", "linkage", "ARI vs ground truth")
-	wardARI := analysisARI(s.Res.Labels, truth)
+	wardARI := analysis.ARI(s.Res.Labels, truth)
 	tb.AddRow("ward (paper)", wardARI)
 	aris := map[cluster.Method]float64{}
 	for _, m := range []cluster.Method{cluster.MethodComplete, cluster.MethodAverage, cluster.MethodSingle} {
 		l := cluster.Agglomerative(s.Res.RSCA, m)
-		aris[m] = analysisARI(l.CutK(s.Res.K), truth)
+		aris[m] = analysis.ARI(l.CutK(s.Res.K), truth)
 		tb.AddRow(m.String(), aris[m])
 	}
 	return Artifact{

@@ -3,20 +3,7 @@ package experiments
 import (
 	"repro/internal/analysis"
 	"repro/internal/mat"
-	"repro/internal/rca"
 )
-
-// matDense aliases the dense matrix type for the ablation helpers.
-type matDense = mat.Dense
-
-// rcaOf returns the RCA feature matrix of a traffic matrix.
-func rcaOf(t *mat.Dense) *mat.Dense { return rca.RCA(t) }
-
-// normOf returns the globally max-normalized traffic matrix.
-func normOf(t *mat.Dense) *mat.Dense { return rca.NormalizeByGlobalMax(t) }
-
-// analysisARI proxies the adjusted Rand index.
-func analysisARI(a, b []int) float64 { return analysis.ARI(a, b) }
 
 // backgroundSample picks n deterministic RSCA rows as the KernelSHAP
 // background distribution.

@@ -63,7 +63,6 @@ var Catalog = []MetricDef{
 
 	// Serving: ingest.
 	{Name: "serve.ingest.batches", Kind: KindCounter, Instance: true, Help: "probe batches acked (202)"},
-	{Name: "serve.ingest.folded", Kind: KindCounter, Instance: true, Help: "records folded into the aggregate by drain workers"},
 	{Name: "serve.ingest.latency.ms", Kind: KindHistogram, Instance: true, Help: "ingest handler latency"},
 	{Name: "serve.ingest.malformed", Kind: KindCounter, Instance: true, Help: "malformed probe streams rejected"},
 	{Name: "serve.ingest.records", Kind: KindCounter, Instance: true, Help: "probe records acked"},
@@ -94,10 +93,12 @@ var Catalog = []MetricDef{
 	{Name: "serve.refresh.runs", Kind: KindCounter, Instance: true, Help: "completed refresh runs"},
 	{Name: "serve.refresh.skipped", Kind: KindCounter, Instance: true, Help: "refresh ticks with no new aggregates"},
 
-	// Sharded ingest + replicated serving (internal/shard).
+	// Sharded ingest + replicated serving (internal/shard). The ingest
+	// tier's fold, queue and kill series come from serve.Sinks, in the
+	// registry of the server or router that owns the tier.
 	{Name: "shard.fanout.lag.ms", Kind: KindHistogram, Instance: true, Help: "snapshot fan-out lag behind the primary swap"},
 	{Name: "shard.fanout.swaps", Kind: KindCounter, Instance: true, Help: "replica snapshot swaps fanned out after a refresh"},
-	{Name: "shard.fold.records", Kind: KindCounter, Instance: true, Help: "records folded into per-shard sinks by drain workers"},
+	{Name: "shard.fold.records", Kind: KindCounter, Instance: true, Help: "records folded into the ingest tier's shard sinks"},
 	{Name: "shard.ingest.batches", Kind: KindCounter, Instance: true, Help: "sharded probe batches acked (202) by the router"},
 	{Name: "shard.ingest.latency.ms", Kind: KindHistogram, Instance: true, Help: "router ingest handler latency"},
 	{Name: "shard.ingest.malformed", Kind: KindCounter, Instance: true, Help: "malformed probe streams rejected by the router"},

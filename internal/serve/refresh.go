@@ -34,11 +34,6 @@ type RefreshConfig struct {
 	History int
 	// Logf, when set, receives one line per completed refresh attempt.
 	Logf func(format string, args ...any)
-	// Totals overrides the aggregate-totals source folded on every refresh
-	// (default: the attached server's sink). The sharded router points this
-	// at the merged cross-shard traffic matrix so a refresh sees every
-	// shard's ingest, not just the primary's.
-	Totals func(rows, cols int) *mat.Dense
 	// OnSwap, when set, runs synchronously after RefreshOnce publishes a
 	// new snapshot to the attached server — the snapshot-distribution seam
 	// the sharded router uses to fan the same revision out to its replicas.
@@ -102,13 +97,13 @@ type RefreshOutcome struct {
 }
 
 // Refresher closes the ingest → retrain → swap loop: on every tick it folds
-// the collector sink's aggregate totals over the training campaign's
-// traffic matrix (rca.Accumulator), runs the warm pipeline on the rows that
-// changed (analysis.WarmRefreshContext, escalating past the drift
-// threshold), and publishes the retrained model through SwapSnapshot. All
-// work happens off the request path on the process-shared worker pool;
-// the only goroutine is the tick loop, spawned via pipe.Tasks per the
-// poolgo contract. Every published revision's offline result is retained
+// the server's ingest-tier totals, merged over every shard, over the
+// training campaign's traffic matrix (rca.Accumulator), runs the warm
+// pipeline on the rows that changed (analysis.WarmRefreshContext,
+// escalating past the drift threshold), and publishes the retrained model
+// through SwapSnapshot. All work happens off the request path on the
+// process-shared worker pool; the only goroutine is the tick loop, spawned
+// via pipe.Tasks per the poolgo contract. Every published revision's offline result is retained
 // in a bounded registry (ResultFor) — registered before the swap — so any
 // served response echoing a revision can be audited against the exact
 // offline result that produced it. Only the current revision's entry is
@@ -277,15 +272,7 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	var out RefreshOutcome
 	out.Revision = r.srv.Snapshot().Revision
 
-	var totals *mat.Dense
-	if r.cfg.Totals != nil {
-		totals = r.cfg.Totals(r.acc.Rows(), r.acc.Cols())
-	} else {
-		totals = r.srv.Sink().TrafficMatrix(r.acc.Rows(), r.acc.Cols())
-	}
-	if totals == nil {
-		return out, r.fail(fmt.Errorf("serve: refresh totals source returned nil"))
-	}
+	totals := r.srv.ingest.TrafficMatrix(r.acc.Rows(), r.acc.Cols())
 	if err := r.acc.SetTotals(totals); err != nil {
 		return out, r.fail(err)
 	}

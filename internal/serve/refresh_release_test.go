@@ -20,7 +20,7 @@ import (
 func TestRefresherReleasesColdResult(t *testing.T) {
 	s, ref, forest := coldRefresher(t)
 	defer ref.Stop()
-	s.Sink().AddBatch(ingestRecords(300))
+	s.Ingest().Fold(ingestRecords(300))
 	out, err := ref.RefreshOnce(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ func TestRefresherAdvancesRevisionAndServesParity(t *testing.T) {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Sink().Snapshot().Records == 0 {
+	for s.Ingest().FoldedRecords() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("ingested records never folded")
 		}
@@ -202,7 +202,7 @@ func TestRefresherAdvancesRevisionAndServesParity(t *testing.T) {
 // that must publish a new revision.
 func swapOnce(t *testing.T, s *Server, ref *Refresher, records int) uint64 {
 	t.Helper()
-	s.Sink().AddBatch(ingestRecords(records))
+	s.Ingest().Fold(ingestRecords(records))
 	out, err := ref.RefreshOnce(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestRefresherTickLoop(t *testing.T) {
 	ref.Start()
 	defer ref.Stop()
 
-	s.Sink().AddBatch(ingestRecords(500))
+	s.Ingest().Fold(ingestRecords(500))
 	deadline := time.Now().Add(20 * time.Second)
 	for s.Snapshot().Revision == snap.Revision {
 		if time.Now().After(deadline) {
@@ -420,7 +420,7 @@ func TestDrainDuringSwap(t *testing.T) {
 		fault.Fold:     {DelayProb: 0.9, Delay: 2 * time.Millisecond},
 		fault.Classify: {DelayProb: 0.3, Delay: time.Millisecond},
 	})
-	s, err := New(snap, nil, Config{QueueDepth: 256, IngestWorkers: 1, Faults: inj})
+	s, err := New(snap, nil, Config{QueueDepth: 256, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func TestDrainDuringSwap(t *testing.T) {
 	}
 	// Wait until some records folded so the refresh genuinely retrains.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.Sink().Snapshot().Records == 0 {
+	for s.Ingest().FoldedRecords() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no records folded")
 		}
@@ -542,7 +542,7 @@ func TestDrainDuringSwap(t *testing.T) {
 	}
 
 	// Invariant 1: zero acked-record loss across the drain.
-	if got, want := s.Sink().Snapshot().Records, acked*perBatch; got != want {
+	if got, want := s.Ingest().FoldedRecords(), acked*perBatch; got != want {
 		t.Fatalf("aggregate holds %d records, want %d (%d acked × %d)", got, want, acked, perBatch)
 	}
 	// Invariant 2: every successful response is bit-consistent with the

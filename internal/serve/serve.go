@@ -7,9 +7,10 @@
 //
 // Endpoints:
 //
-//	POST /v1/ingest    probe-record batches (probe wire format) folded
-//	                   through the collect.Sink aggregator, with a bounded
-//	                   queue and explicit 429 backpressure
+//	POST /v1/ingest    probe-record batches (probe wire format) offered to
+//	                   the ingest tier (Sinks): bounded per-shard queues
+//	                   folded into collect.Sink aggregates, with explicit
+//	                   429 backpressure
 //	POST /v1/classify  antenna traffic vectors → Eq. 5 RSCA → forest
 //	                   cluster, batched on the shared worker pool with an
 //	                   LRU verdict cache keyed by (antenna, revision)
@@ -27,7 +28,7 @@
 // Classify, forecast and plan responses carry the revision of the snapshot
 // that answered in an X-Icn-Revision header (RevisionHeader).
 //
-// Production behaviors: per-request context deadlines, bounded ingest queue
+// Production behaviors: per-request context deadlines, bounded ingest queues
 // with Retry-After hints, and graceful shutdown that stops intake, drains
 // queued batches into the aggregate, and only then returns — an acked
 // (202) record is never lost.
@@ -69,12 +70,9 @@ const (
 type Config struct {
 	// Addr is the listen address (default "127.0.0.1:0").
 	Addr string
-	// QueueDepth bounds the ingest queue in batches; a full queue answers
-	// 429 with a Retry-After hint (default 64).
+	// QueueDepth bounds the ingest queue of a tier New builds, in batches;
+	// a full queue answers 429 with a Retry-After hint (default 64).
 	QueueDepth int
-	// IngestWorkers is the number of goroutines folding queued batches
-	// into the aggregate (default 2).
-	IngestWorkers int
 	// RequestTimeout is the per-request context deadline (default 5s).
 	RequestTimeout time.Duration
 	// CacheSize bounds the classify LRU in entries; 0 selects the default
@@ -86,20 +84,15 @@ type Config struct {
 	MaxClassifyAntennas int
 	// Faults optionally wires the deterministic fault-injection layer
 	// (internal/fault) into the serving seams: ingest latency before the
-	// ack, slow drain folds, and classify latency spikes. nil injects
-	// nothing; production configs leave it nil.
+	// ack, slow drain folds of a tier the server builds (fault.Fold), and
+	// classify latency spikes. nil injects nothing; production configs
+	// leave it nil.
 	Faults *fault.Injector
 }
 
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.IngestWorkers <= 0 {
-		c.IngestWorkers = 2
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
@@ -139,7 +132,7 @@ type Stats struct {
 	ForecastCacheMisses  int64 `json:"forecast_cache_misses"`
 	ForecastCacheEntries int   `json:"forecast_cache_entries"`
 	PlanRequests         int64 `json:"plan_requests"`
-	// Aggregate holds the sink's collector-compatible statistics.
+	// Aggregate sums the ingest tier's collector-compatible statistics.
 	Aggregate collect.Stats `json:"aggregate"`
 }
 
@@ -147,12 +140,14 @@ type Stats struct {
 type Server struct {
 	cfg     Config
 	snap    atomic.Pointer[ModelSnapshot]
-	sink    *collect.Sink
 	cache   *lru[cacheKey, int]
 	fcCache *lru[forecastKey, ForecastResponse]
 
-	queue chan []probe.Record
-	tasks pipe.Tasks
+	// ingest is the tier acked batches are offered to; the server closes
+	// it on Shutdown only when it built the tier itself (ownsIngest).
+	ingest     *Sinks
+	ownsIngest bool
+	tasks      pipe.Tasks
 
 	// refresh points at the attached refresh controller, if any; /v1/model
 	// reports its telemetry.
@@ -164,57 +159,59 @@ type Server struct {
 
 	startOnce sync.Once
 	stopOnce  sync.Once
-	draining  atomic.Bool
 
 	// reg holds every series this server and its refresher emit; Stats
 	// and /metrics read it.
 	reg *obs.Registry
 }
 
-// New builds a server around a model snapshot. The sink may be shared with
-// a TCP Collector; pass nil for a private aggregate.
-func New(snap *ModelSnapshot, sink *collect.Sink, cfg Config) (*Server, error) {
+// New builds a server around a model snapshot. ingest is the tier its
+// /v1/ingest offers batches to and its refresher folds; the shard router
+// passes its own, shared by every replica. With nil the server builds and
+// owns a one-shard tier (fault.Fold, the server's registry) whose drain
+// worker starts now, so a handler exercised directly still gets its
+// batches folded.
+func New(snap *ModelSnapshot, ingest *Sinks, cfg Config) (*Server, error) {
 	if snap == nil {
 		return nil, errors.New("serve: nil model snapshot")
 	}
 	cfg = cfg.withDefaults()
-	if sink == nil {
-		sink = collect.NewSink()
+	reg := obs.NewRegistry()
+	owns := ingest == nil
+	if owns {
+		var err error
+		ingest, err = NewSinks(1, func(uint32) int { return 0 }, cfg.QueueDepth, fault.Fold, cfg.Faults, reg)
+		if err != nil {
+			return nil, err
+		}
 	}
 	s := &Server{
-		cfg:     cfg,
-		sink:    sink,
-		cache:   newLRU[cacheKey, int](cfg.CacheSize),
-		fcCache: newLRU[forecastKey, ForecastResponse](forecastCacheSize),
-		queue:   make(chan []probe.Record, cfg.QueueDepth),
-		reg:     obs.NewRegistry(),
+		cfg:        cfg,
+		cache:      newLRU[cacheKey, int](cfg.CacheSize),
+		fcCache:    newLRU[forecastKey, ForecastResponse](forecastCacheSize),
+		ingest:     ingest,
+		ownsIngest: owns,
+		reg:        reg,
 	}
 	s.snap.Store(snap)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/ingest", s.withDeadline(s.handleIngest))
-	s.mux.HandleFunc("/v1/classify", s.withDeadline(s.handleClassify))
-	s.mux.HandleFunc("/v1/forecast", s.withDeadline(s.handleForecast))
-	s.mux.HandleFunc("/v1/plan", s.withDeadline(s.handlePlan))
+	s.mux.HandleFunc("/v1/ingest", WithDeadline(cfg.RequestTimeout, s.handleIngest))
+	s.mux.HandleFunc("/v1/classify", WithDeadline(cfg.RequestTimeout, s.handleClassify))
+	s.mux.HandleFunc("/v1/forecast", WithDeadline(cfg.RequestTimeout, s.handleForecast))
+	s.mux.HandleFunc("/v1/plan", WithDeadline(cfg.RequestTimeout, s.handlePlan))
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/v1/model", s.handleModel)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
+	s.mux.HandleFunc("/healthz", Healthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
-
-	// The drain workers start with the server's lifetime, not with Start:
-	// a handler exercised directly (tests, fuzzing) still gets its batches
-	// folded.
-	for w := 0; w < cfg.IngestWorkers; w++ {
-		s.tasks.Go(s.drainQueue)
-	}
 	return s, nil
 }
 
 // Handler exposes the route table (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Sink returns the aggregate records are folded into.
-func (s *Server) Sink() *collect.Sink { return s.sink }
+// Ingest returns the tier acked batches are folded into.
+func (s *Server) Ingest() *Sinks { return s.ingest }
 
 // Snapshot returns the currently served model snapshot.
 func (s *Server) Snapshot() *ModelSnapshot { return s.snap.Load() }
@@ -263,43 +260,34 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Shutdown gracefully stops the server: it stops accepting requests, waits
-// for in-flight handlers (bounded by ctx), then drains every queued ingest
-// batch into the aggregate before returning. Records acked with 202 are
-// therefore never lost across a graceful stop.
+// Shutdown gracefully stops the server: it stops accepting requests and
+// waits for in-flight handlers (bounded by ctx). When the server built its
+// ingest tier, it then drains every queued batch into the aggregate before
+// returning; a shared tier is left to its owner. Records acked with 202
+// are therefore never lost across a graceful stop.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.stopOnce.Do(func() {
 		if s.ln != nil {
 			err = s.httpSrv.Shutdown(ctx)
 		}
-		// No handler can be running now (Shutdown waits for them), so the
-		// queue can close; workers exit after folding what remains.
-		s.draining.Store(true)
-		close(s.queue)
+		// No listener-served handler can be running now (Shutdown waits
+		// for them); a handler called directly later gets a closed
+		// queue's 429 from an owned tier, never a lost ack.
+		if s.ownsIngest {
+			s.ingest.Close()
+		}
 		s.tasks.Wait()
 	})
 	return err
 }
 
-// drainQueue folds queued ingest batches until the queue closes. Injected
-// fold delays (the fault layer's slow-consumer regime) throttle the drain,
-// building real queue pressure upstream; acked batches are still always
-// folded before the worker exits.
-func (s *Server) drainQueue() {
-	//lint:allow ctxguard draining to queue close is the shutdown contract: acked batches must fold before the worker exits, and Shutdown closes the queue
-	for batch := range s.queue {
-		_ = s.cfg.Faults.Wait(context.Background(), fault.Fold)
-		s.sink.AddBatch(batch)
-		s.reg.Add("serve.ingest.folded", int64(len(batch)))
-	}
-}
-
-// withDeadline wraps a handler with the per-request context deadline. The
-// context carries no pool, so classify fans out on the process-shared one.
-func (s *Server) withDeadline(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
+// WithDeadline wraps a handler with a per-request context deadline; the
+// shard router wraps its handlers through it too. The context carries no
+// pool, so classify fans out on the process-shared one.
+func WithDeadline(timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 		h(w, r.WithContext(ctx))
 	}
@@ -406,19 +394,20 @@ func ReadProbeBatch(w http.ResponseWriter, r *http.Request, maxBytes int64, maxR
 }
 
 // handleIngest accepts one probe-wire-format batch, acks it with 202 once
-// it is safely queued, and answers 429 with Retry-After when the bounded
-// queue is full.
+// every sub-batch is safely queued in the ingest tier, and answers 429 with
+// Retry-After when a target queue is full.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	startAt := time.Now()
 	if r.Method != http.MethodPost {
 		WriteError(w, http.StatusMethodNotAllowed, "POST a probe stream")
 		return
 	}
-	s.sink.NoteConnection()
+	front := s.ingest.queues[0].sink
+	front.NoteConnection()
 	batch, err := ReadProbeBatch(w, r, s.cfg.MaxBodyBytes, maxIngestRecords)
 	if err != nil {
 		if errors.Is(err, ErrMalformedStream) {
-			s.sink.NoteMalformed()
+			front.NoteMalformed()
 			s.reg.Add("serve.ingest.malformed", 1)
 		}
 		return
@@ -429,20 +418,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusServiceUnavailable, "deadline exceeded: %v", err)
 		return
 	}
-	if s.draining.Load() {
-		WriteError(w, http.StatusServiceUnavailable, "server is shutting down")
-		return
-	}
-	select {
-	case s.queue <- batch:
-		s.reg.Add("serve.ingest.batches", 1)
-		s.reg.Add("serve.ingest.records", int64(len(batch)))
-		s.reg.ObserveMS("serve.ingest.latency.ms", msSince(startAt))
-		WriteJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch)})
-	default:
+	if !s.ingest.Offer(s.ingest.Partition(batch)) {
 		s.reg.Add("serve.ingest.rejected", 1)
 		WriteRetryLater(w, retryAfter, "ingest queue full, retry later")
+		return
 	}
+	s.reg.Add("serve.ingest.batches", 1)
+	s.reg.Add("serve.ingest.records", int64(len(batch)))
+	s.reg.ObserveMS("serve.ingest.latency.ms", msSince(startAt))
+	WriteJSON(w, http.StatusAccepted, map[string]int{"accepted": len(batch)})
 }
 
 // ClassifyRequest is the /v1/classify body: one traffic vector per
@@ -579,14 +563,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // Stats snapshots the serving statistics backing /v1/stats. Every count
 // is read from the server's registry, so it agrees with /metrics.
 func (s *Server) Stats() Stats {
+	queued := 0
+	for _, sh := range s.ingest.Stats() {
+		queued += sh.QueuedBatches
+	}
 	return Stats{
 		ModelRevision:     s.snap.Load().Revision,
 		IngestBatches:     s.reg.Counter("serve.ingest.batches"),
 		IngestRecords:     s.reg.Counter("serve.ingest.records"),
 		IngestRejected:    s.reg.Counter("serve.ingest.rejected"),
 		IngestMalformed:   s.reg.Counter("serve.ingest.malformed"),
-		QueueDepth:        len(s.queue),
-		QueueCapacity:     cap(s.queue),
+		QueueDepth:        queued,
+		QueueCapacity:     s.ingest.depth * len(s.ingest.queues),
 		ClassifyRequests:  s.reg.Counter("serve.classify.requests"),
 		ClassifiedVectors: s.reg.Counter("serve.classify.antennas"),
 		CacheHits:         s.reg.Counter("serve.classify.cache.hits"),
@@ -599,7 +587,7 @@ func (s *Server) Stats() Stats {
 		ForecastCacheEntries: s.fcCache.len(),
 		PlanRequests:         s.reg.Counter("serve.plan.requests"),
 
-		Aggregate: s.sink.Snapshot(),
+		Aggregate: s.ingest.aggregate(),
 	}
 }
 
@@ -620,7 +608,8 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, payload)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// Healthz answers a liveness probe; the shard router mounts it too.
+func Healthz(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 

@@ -230,7 +230,7 @@ func TestShutdownDrainsAckedBatches(t *testing.T) {
 	slowFolds := fault.New(1, map[fault.Site]fault.Rule{
 		fault.Fold: {DelayProb: 1, Delay: 2 * time.Millisecond},
 	})
-	s, err := New(tinySnapshot(t), nil, Config{QueueDepth: 256, IngestWorkers: 1, Faults: slowFolds})
+	s, err := New(tinySnapshot(t), nil, Config{QueueDepth: 256, Faults: slowFolds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestShutdownDrainsAckedBatches(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if got, want := s.Sink().Snapshot().Records, acked*perBatch; got != want {
+	if got, want := s.Ingest().FoldedRecords(), acked*perBatch; got != want {
 		t.Fatalf("aggregate holds %d records after drain, want %d (acked batches × %d)", got, want, perBatch)
 	}
 }
@@ -276,7 +276,7 @@ func TestIngestBackpressure(t *testing.T) {
 	slowFolds := fault.New(1, map[fault.Site]fault.Rule{
 		fault.Fold: {DelayProb: 1, Delay: 200 * time.Millisecond},
 	})
-	s, err := New(tinySnapshot(t), nil, Config{QueueDepth: 1, IngestWorkers: 1, Faults: slowFolds})
+	s, err := New(tinySnapshot(t), nil, Config{QueueDepth: 1, Faults: slowFolds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestShutdownDrainsUnderFault(t *testing.T) {
 		fault.Fold:   {DelayProb: 0.8, Delay: 3 * time.Millisecond},
 		fault.Ingest: {DelayProb: 0.3, Delay: time.Millisecond},
 	})
-	s, err := New(tinySnapshot(t), nil, Config{QueueDepth: 4, IngestWorkers: 1, Faults: inj})
+	s, err := New(tinySnapshot(t), nil, Config{QueueDepth: 4, Faults: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestShutdownDrainsUnderFault(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown under fault: %v", err)
 	}
-	if got, want := s.Sink().Snapshot().Records, acked*perBatch; got != want {
+	if got, want := s.Ingest().FoldedRecords(), acked*perBatch; got != want {
 		t.Fatalf("aggregate holds %d records after faulted drain, want %d (%d acked batches × %d)",
 			got, want, acked, perBatch)
 	}
@@ -710,7 +710,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	slowFolds := fault.New(1, map[fault.Site]fault.Rule{
 		fault.Fold: {DelayProb: 1, Delay: 100 * time.Millisecond},
 	})
-	s := startServer(t, forecastSnapshot(t), Config{QueueDepth: 1, IngestWorkers: 1, Faults: slowFolds})
+	s := startServer(t, forecastSnapshot(t), Config{QueueDepth: 1, Faults: slowFolds})
 
 	ingest := func(body []byte) int {
 		resp, err := http.Post(baseURL(s)+"/v1/ingest", "application/octet-stream", bytes.NewReader(body))
@@ -764,7 +764,7 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		{"serve.ingest.rejected", st.IngestRejected},
 		{"serve.ingest.malformed", st.IngestMalformed},
 		{"serve.ingest.malformed", int64(st.Aggregate.MalformedStreams)},
-		{"serve.ingest.folded", int64(st.Aggregate.Records)},
+		{"shard.fold.records", int64(st.Aggregate.Records)},
 		{"serve.classify.requests", st.ClassifyRequests},
 		{"serve.classify.antennas", st.ClassifiedVectors},
 		{"serve.classify.cache.hits", st.CacheHits},
@@ -800,7 +800,7 @@ func TestIngestThenTrafficMatrix(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tm := s.Sink().TrafficMatrix(4, 73)
+	tm := s.Ingest().TrafficMatrix(4, 73)
 	var total float64
 	for i := 0; i < tm.Rows(); i++ {
 		for _, v := range tm.Row(i) {

@@ -66,9 +66,6 @@ func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
 	}
@@ -95,7 +92,7 @@ type replica struct {
 type Router struct {
 	cfg      Config
 	ring     *Ring
-	sinks    *Sinks
+	sinks    *serve.Sinks
 	replicas []*replica
 	ref      *serve.Refresher
 
@@ -110,20 +107,22 @@ type Router struct {
 	draining  atomic.Bool
 	rr        atomic.Uint64
 
-	// reg holds every series the router and its Sinks emit; Stats and
-	// /metrics read it. Each replica keeps its own.
+	// reg holds every series the router and its ingest tier emit; Stats
+	// and /metrics read it. Each replica keeps its own.
 	reg *obs.Registry
 	// lastFanoutMS holds float64 bits of the most recent fan-out lag.
 	lastFanoutMS atomic.Uint64
 }
 
-// NewRouter builds the sharded layer around a trained snapshot: cfg.Shards
-// sink shards on a seeded ring and cfg.Replicas serve replicas all serving
-// snap. base is the offline result the snapshot was trained from; when
-// non-nil a refresh controller is attached to replica 0 with the router's
-// cross-shard totals and fan-out wired into its seams (pass nil to serve a
-// static snapshot); it runs no tick loop, so refreshes are driven through
-// RefreshOnce. Call Start to bind, Shutdown for a drained stop.
+// NewRouter builds the sharded layer around a trained snapshot: an ingest
+// tier of cfg.Shards sinks placed by a seeded ring, and cfg.Replicas serve
+// replicas all serving snap and all offering their own /v1/ingest batches
+// to that one tier. base is the offline result the snapshot was trained
+// from; when non-nil a refresh controller is attached to replica 0, which
+// folds the tier's cross-shard totals, with fan-out wired into its OnSwap
+// seam (pass nil to serve a static snapshot); it runs no tick loop, so
+// refreshes are driven through RefreshOnce. Call Start to bind, Shutdown
+// for a drained stop.
 func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*Router, error) {
 	if snap == nil {
 		return nil, errors.New("shard: nil model snapshot")
@@ -134,7 +133,7 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	sinks, err := NewSinks(ring, cfg.QueueDepth, cfg.Faults, reg)
+	sinks, err := serve.NewSinks(cfg.Shards, ring.Place, cfg.QueueDepth, fault.ShardFold, cfg.Faults, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +145,7 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 		reg:    reg,
 	}
 	for i := 0; i < cfg.Replicas; i++ {
-		srv, err := serve.New(snap, nil, serve.Config{
+		srv, err := serve.New(snap, sinks, serve.Config{
 			Faults:         cfg.Faults,
 			RequestTimeout: cfg.RequestTimeout,
 		})
@@ -160,7 +159,6 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 	}
 	if base != nil {
 		ref, err := serve.NewRefresher(rt.replicas[0].srv, base, serve.RefreshConfig{
-			Totals: sinks.TrafficMatrix,
 			OnSwap: rt.fanOut,
 		})
 		if err != nil {
@@ -170,13 +168,13 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 		rt.ref = ref
 	}
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("/v1/ingest", rt.withDeadline(rt.handleIngest))
+	rt.mux.HandleFunc("/v1/ingest", serve.WithDeadline(cfg.RequestTimeout, rt.handleIngest))
 	for _, path := range []string{"/v1/classify", "/v1/forecast", "/v1/plan"} {
-		rt.mux.HandleFunc(path, rt.withDeadline(rt.forwardPOST(path)))
+		rt.mux.HandleFunc(path, serve.WithDeadline(cfg.RequestTimeout, rt.forwardPOST(path)))
 	}
-	rt.mux.HandleFunc("/v1/model", rt.withDeadline(rt.handleModel))
+	rt.mux.HandleFunc("/v1/model", serve.WithDeadline(cfg.RequestTimeout, rt.handleModel))
 	rt.mux.HandleFunc("/v1/stats", rt.handleStats)
-	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
+	rt.mux.HandleFunc("/healthz", serve.Healthz)
 	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
 	rt.httpSrv = &http.Server{Handler: rt.mux, ReadHeaderTimeout: 5 * time.Second}
 	return rt, nil
@@ -272,13 +270,20 @@ func (rt *Router) RefreshOnce(ctx context.Context) (serve.RefreshOutcome, error)
 // KillShard removes one shard mid-flight: the ring stops placing keys on
 // it, its queue drains every acked batch into its sink (still counted in
 // the merged totals), and in-flight offers against it turn into 429s whose
-// retries re-place against the updated ring.
-func (rt *Router) KillShard(id int) error { return rt.sinks.Kill(id) }
+// retries re-place against the updated ring. Killing the last alive shard
+// is refused.
+func (rt *Router) KillShard(id int) error {
+	if err := rt.ring.Remove(id); err != nil {
+		return err
+	}
+	return rt.sinks.Kill(id)
+}
 
 // KillReplica shuts one replica down and removes it from routing.
-// In-flight proxies to it fail over to the survivors. Killing the last
-// live replica is refused; killing replica 0 leaves refresh functional
-// (swaps still register and fan out to the survivors).
+// In-flight proxies to it fail over to the survivors, and the ingest tier
+// it shared stays open: every batch it acked is still folded. Killing the
+// last live replica is refused; killing replica 0 leaves refresh
+// functional (swaps still register and fan out to the survivors).
 func (rt *Router) KillReplica(ctx context.Context, i int) error {
 	if i < 0 || i >= len(rt.replicas) {
 		return fmt.Errorf("shard: no replica %d", i)
@@ -310,9 +315,10 @@ func (rt *Router) Replica(i int) *serve.Server {
 	return rt.replicas[i].srv
 }
 
-// Shutdown stops intake, drains every shard queue (folding all acked
-// batches), and shuts the live replicas down. After Shutdown returns,
-// FoldedRecords equals the total records ever acked with 202.
+// Shutdown stops intake on the router and the live replicas, then drains
+// every shard queue (folding all acked batches). After Shutdown returns,
+// FoldedRecords equals the total records ever acked with 202, by the
+// router and by the replicas alike.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	var err error
 	rt.stopOnce.Do(func() {
@@ -323,7 +329,6 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 		if rt.ref != nil {
 			rt.ref.Stop()
 		}
-		rt.sinks.Close()
 		for _, rep := range rt.replicas {
 			if !rep.alive.Load() {
 				continue
@@ -332,6 +337,7 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 				err = e
 			}
 		}
+		rt.sinks.Close()
 		rt.tasks.Wait()
 	})
 	return err
@@ -342,18 +348,9 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 // process-wide ones, and what Stats reads.
 func (rt *Router) Metrics() *obs.Registry { return rt.reg }
 
-// Sinks exposes the sharded aggregation tier (parity and durability
-// checks read folded/pending counts through it).
-func (rt *Router) Sinks() *Sinks { return rt.sinks }
-
-// withDeadline wraps a handler with the per-request context deadline.
-func (rt *Router) withDeadline(h func(http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
-		defer cancel()
-		h(w, r.WithContext(ctx))
-	}
-}
+// Sinks exposes the ingest tier the router and its replicas share (parity
+// and durability checks read folded/pending counts through it).
+func (rt *Router) Sinks() *serve.Sinks { return rt.sinks }
 
 // handleIngest parses one probe batch, partitions it across the ring, and
 // acks 202 only once every sub-batch is enqueued (all-or-nothing). A full,
@@ -509,7 +506,7 @@ type RouterStats struct {
 	ClassifyFailovers int64              `json:"classify_failovers"`
 	LastFanoutMS      float64            `json:"last_fanout_ms"`
 	Ring              RingStats          `json:"ring"`
-	Shards            []SinkStats        `json:"shards"`
+	Shards            []serve.SinkStats  `json:"shards"`
 	Replicas          []ReplicaStats     `json:"replicas"`
 	Refresh           *serve.RefreshInfo `json:"refresh,omitempty"`
 }
@@ -550,10 +547,6 @@ func (rt *Router) Stats() RouterStats {
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, rt.Stats())
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleMetrics renders the router's own series and the process-wide

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,6 +163,102 @@ func TestShardedIngestAckedEqualsFolded(t *testing.T) {
 	}
 }
 
+// TestReplicaIngestFoldsIntoSharedTier posts batches straight to each
+// replica's /v1/ingest, concurrently with the router's: every 202 must land
+// in the router's tier, feed the next refresh, and survive a replica kill
+// and the router's shutdown.
+func TestReplicaIngestFoldsIntoSharedTier(t *testing.T) {
+	res := goldenResult(t)
+	snap, err := serve.NewModelSnapshot(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slow folds keep acked batches queued across the replica kill.
+	inj := fault.New(4, map[fault.Site]fault.Rule{
+		fault.ShardFold: {DelayProb: 1, Delay: 5 * time.Millisecond},
+	})
+	rt := startRouter(t, snap, res, Config{Shards: 2, Replicas: 2, RingSeed: 7, Faults: inj})
+	indoor := res.Dataset.Traffic.Rows()
+	const perBatch = 100
+	batch := probeStream(t, ingestRecords(perBatch, indoor))
+	var acked atomic.Int64
+	post := func(url string) error {
+		resp, err := http.Post(url+"/v1/ingest", "application/octet-stream", bytes.NewReader(batch))
+		if err != nil {
+			return err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			return fmt.Errorf("ingest to %s: status %d, want 202", url, resp.StatusCode)
+		}
+		acked.Add(perBatch)
+		return nil
+	}
+	replicaURL := func(i int) string { return "http://" + rt.Replica(i).Addr().String() }
+	var wg sync.WaitGroup
+	for _, url := range []string{replicaURL(0), replicaURL(1), rt.URL()} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < 3; b++ {
+				if err := post(url); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for rt.Sinks().PendingRecords() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d records still pending", rt.Sinks().PendingRecords())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got, want := rt.Sinks().FoldedRecords(), int(acked.Load()); got != want {
+		t.Fatalf("router tier folded %d records, router and replicas acked %d", got, want)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := rt.RefreshOnce(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Skipped || !out.Swapped {
+		t.Fatalf("refresh after replica-direct ingest: skipped %v, swapped %v", out.Skipped, out.Swapped)
+	}
+
+	// Batches replica 1 acked just before its kill still fold, and the
+	// survivors keep ingesting: killing a replica leaves the tier open.
+	for b := 0; b < 3; b++ {
+		if err := post(replicaURL(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.KillReplica(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, url := range []string{replicaURL(0), rt.URL()} {
+		if err := post(url); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rt.Sinks().FoldedRecords(), int(acked.Load()); got != want {
+		t.Fatalf("after shutdown the tier folded %d records, %d were acked", got, want)
+	}
+	if p := rt.Sinks().PendingRecords(); p != 0 {
+		t.Fatalf("%d records still pending after shutdown", p)
+	}
+}
+
 // TestOfferAllOrNothing: when one target shard's queue is full, the whole
 // batch is rejected — no sub-batch of a non-acked batch may land.
 func TestOfferAllOrNothing(t *testing.T) {
@@ -172,7 +270,7 @@ func TestOfferAllOrNothing(t *testing.T) {
 	inj := fault.New(1, map[fault.Site]fault.Rule{
 		fault.ShardFold: {DelayProb: 1, Delay: time.Hour},
 	})
-	s, err := NewSinks(ring, 1, inj, obs.NewRegistry())
+	s, err := serve.NewSinks(ring.Shards(), ring.Place, 1, fault.ShardFold, inj, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,9 +312,10 @@ func TestOfferAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestKillShardDrainsAckedBatches: Kill folds everything already acked
-// into the dying shard's sink before returning, reroutes its keys, and
-// keeps the drained aggregate in the merged totals.
+// TestKillShardDrainsAckedBatches: removing a shard from the ring reroutes
+// its keys, Kill folds everything already acked into the dying shard's
+// sink before returning, and the drained aggregate stays in the merged
+// totals.
 func TestKillShardDrainsAckedBatches(t *testing.T) {
 	ring, err := NewRing(3, 0, 2)
 	if err != nil {
@@ -226,7 +325,7 @@ func TestKillShardDrainsAckedBatches(t *testing.T) {
 	inj := fault.New(2, map[fault.Site]fault.Rule{
 		fault.ShardFold: {DelayProb: 1, Delay: 20 * time.Millisecond},
 	})
-	s, err := NewSinks(ring, 64, inj, obs.NewRegistry())
+	s, err := serve.NewSinks(ring.Shards(), ring.Place, 64, fault.ShardFold, inj, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +340,9 @@ func TestKillShardDrainsAckedBatches(t *testing.T) {
 		acked += len(batch)
 	}
 	const victim = 1
+	if err := ring.Remove(victim); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Kill(victim); err != nil {
 		t.Fatal(err)
 	}
