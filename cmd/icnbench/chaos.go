@@ -681,6 +681,8 @@ func (e *chaosEnv) swapStorm(seed uint64, out *swapStormRecord) error {
 	if err != nil {
 		return err
 	}
+	// Stop waits for the last revision's audit job.
+	defer ref.Stop()
 	if err := srv.Start(); err != nil {
 		return err
 	}

@@ -165,6 +165,8 @@ func runServeBench(cfg analysis.Config, outPath string) error {
 	if err != nil {
 		return err
 	}
+	// Stop waits for the refreshed revision's audit job.
+	defer ref.Stop()
 	nIndoor := res.Dataset.Traffic.Rows()
 	recs := make([]probe.Record, 0, 500)
 	for i := 0; i < 500; i++ {

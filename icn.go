@@ -256,12 +256,17 @@ type AntennaVerdict = serve.AntennaVerdict
 // Refresher closes the ingest → retrain → swap loop on a Server: it folds
 // live aggregates over the training campaign, re-runs the warm pipeline on
 // the antennas that changed (escalating to a full re-clustering past the
-// drift threshold), and atomically publishes the retrained snapshot.
+// drift threshold), and atomically publishes the retrained snapshot. Each
+// revision's outdoor verdicts are computed after the publish; ResultFor
+// waits for them.
 type Refresher = serve.Refresher
 
 // RefreshConfig parameterizes a Refresher: tick interval, drift
 // threshold, revision history, a log hook, and the OnSwap seam the sharded
-// router fills in. A refresh folds its server's ingest tier.
+// router fills in, which receives each newly swapped snapshot (not its
+// result: that revision's outdoor-verdict audit is still running, and
+// Refresher.ResultFor waits for it). A refresh folds its server's ingest
+// tier.
 type RefreshConfig = serve.RefreshConfig
 
 // RefreshInfo is the refresh telemetry served under /v1/model.

@@ -53,7 +53,7 @@ func computeSequential(t *testing.T, ds *synth.Dataset, cfg Config) sequentialRe
 	})
 	ref.Contingency = EnvContingency(ref.Labels, ds, cfg.K).Counts
 	seqRes := &Result{Config: cfg, Dataset: ds, K: cfg.K, Surrogate: f}
-	if err := seqRes.classifyOutdoor(context.Background()); err != nil {
+	if err := seqRes.ClassifyOutdoor(context.Background()); err != nil {
 		t.Fatalf("sequential outdoor classification: %v", err)
 	}
 	ref.OutdoorLabels = seqRes.OutdoorLabels

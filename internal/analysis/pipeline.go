@@ -118,6 +118,15 @@ func RunOnDatasetContext(ctx context.Context, ds *synth.Dataset, cfg Config) (*R
 	AddModelStages(g, ds, cfg, feats, clus, model, "labels")
 	AddForecastStage(g, ds, cfg, clus, fc, "labels")
 
+	// Section 5.3: classify the outdoor population against the surrogate.
+	// Only the cold graph runs it as a stage; a warm refresh defers it to
+	// Result.ClassifyOutdoor.
+	g.Add("outdoor", []string{"forest"}, func(ctx context.Context) error {
+		var err error
+		model.OutdoorLabels, model.OutdoorShare, err = classifyOutdoor(ctx, ds, model.Surrogate, clus.K)
+		return err
+	})
+
 	// Section 6: warm the per-cluster temporal profile cache at the
 	// experiment suite's sample cap, overlapping the forest stage. The
 	// clustering artifacts are bound into the Result first so the

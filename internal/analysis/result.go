@@ -191,15 +191,22 @@ func (r *Result) Distances() *mat.Condensed {
 	return r.dists
 }
 
-// classifyOutdoor runs the Section 5.3 outdoor classification against this
-// result's dataset and surrogate, binding the outputs in place.
-func (r *Result) classifyOutdoor(ctx context.Context) error {
-	labels, share, err := classifyOutdoor(ctx, r.Dataset, r.Surrogate, r.K)
-	if err != nil {
-		return err
-	}
-	r.OutdoorLabels, r.OutdoorShare = labels, share
-	return nil
+// ClassifyOutdoor runs the Section 5.3 outdoor classification against
+// this result's dataset and surrogate, binds OutdoorLabels and
+// OutdoorShare, and records the work as the "outdoor" stage of the
+// result's trace. The cold pipeline runs the same classification inside
+// its graph; WarmRefreshContext leaves it to this method, which the
+// serving refresher calls after it has published the revision's snapshot.
+// It writes r, so no other goroutine may hold r yet.
+func (r *Result) ClassifyOutdoor(ctx context.Context) error {
+	return pipe.RunStage(ctx, r.Trace(), "outdoor", []string{"forest"}, func(ctx context.Context) error {
+		labels, share, err := classifyOutdoor(ctx, r.Dataset, r.Surrogate, r.K)
+		if err != nil {
+			return err
+		}
+		r.OutdoorLabels, r.OutdoorShare = labels, share
+		return nil
+	})
 }
 
 // ParisShareByCluster returns the fraction of each cluster's antennas

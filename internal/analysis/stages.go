@@ -58,7 +58,8 @@ type ModelArtifacts struct {
 	SurrogateAccuracy float64
 	// Contingency is the cluster × environment table behind Figs. 6-8.
 	Contingency *stats.Contingency
-	// OutdoorLabels and OutdoorShare are the Section 5.3 outputs.
+	// OutdoorLabels and OutdoorShare are the Section 5.3 outputs, filled
+	// by the cold graph's "outdoor" stage (nil after a warm refresh).
 	OutdoorLabels []int
 	OutdoorShare  []float64
 }
@@ -145,10 +146,11 @@ func (c *ClusterArtifacts) cutAndAlign(ds *synth.Dataset) error {
 }
 
 // AddModelStages registers the model sub-graph: "forest" (the Section 5.1.2
-// surrogate on the cluster labels), "contingency" (Section 5.2 environment
-// association) and "outdoor" (Section 5.3 classification of the outdoor
-// population against the indoor reference). labelsDep names the stage that
-// fills clus ("labels" on the cold path, "assign" on the warm path).
+// surrogate on the cluster labels) and "contingency" (Section 5.2
+// environment association). labelsDep names the stage that fills clus
+// ("labels" on the cold path, "assign" on the warm path). The Section 5.3
+// outdoor classification is not part of it: the cold graph adds its own
+// "outdoor" stage, and a warm refresh leaves it to Result.ClassifyOutdoor.
 func AddModelStages(g *pipe.Graph, ds *synth.Dataset, cfg Config, feats *FeatureArtifacts, clus *ClusterArtifacts, out *ModelArtifacts, labelsDep string) {
 	g.Add("forest", []string{labelsDep}, func(ctx context.Context) error {
 		f, err := forest.TrainContext(ctx, feats.RSCA, clus.Labels, clus.K, forest.Config{
@@ -166,15 +168,6 @@ func AddModelStages(g *pipe.Graph, ds *synth.Dataset, cfg Config, feats *Feature
 
 	g.Add("contingency", []string{labelsDep}, func(ctx context.Context) error {
 		out.Contingency = EnvContingency(clus.Labels, ds, clus.K)
-		return nil
-	})
-
-	g.Add("outdoor", []string{"forest"}, func(ctx context.Context) error {
-		labels, share, err := classifyOutdoor(ctx, ds, out.Surrogate, clus.K)
-		if err != nil {
-			return err
-		}
-		out.OutdoorLabels, out.OutdoorShare = labels, share
 		return nil
 	})
 }

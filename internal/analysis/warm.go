@@ -47,19 +47,24 @@ func WarmRefresh(prev *Result, traffic *mat.Dense, dirty []int, wcfg WarmConfig)
 // and moves only the rows listed in dirty to their nearest Ward centroid
 // (escalating to a full re-linkage plus archetype re-alignment when the
 // drift statistic exceeds wcfg.DriftThreshold), the model stages —
-// surrogate forest retrain on the shared worker pool, environment
-// contingency and outdoor classification — and the forecast stage, which
-// retrains the busy-hour forecasters on the updated traffic rows so every
-// revision serves forecasts matching its own ingest state. The
-// model-selection sweep and temporal-cache warmup are cold-only and
-// skipped.
+// surrogate forest retrain on the shared worker pool and environment
+// contingency — and the forecast stage, which retrains the busy-hour
+// forecasters on the updated traffic rows so every revision serves
+// forecasts matching its own ingest state. The model-selection sweep and
+// temporal-cache warmup are cold-only and skipped.
+//
+// The outdoor classification is not run: the result comes back with nil
+// OutdoorLabels and OutdoorShare, since no served answer depends on them
+// (the revision fingerprint covers the forest, not its outdoor verdicts).
+// Callers that audit the revision call Result.ClassifyOutdoor before they
+// share the result; the serving refresher does so after it publishes.
 //
 // Determinism contract: with bit-identical traffic and no dirty rows, the
 // result is bit-identical to the cold pipeline that produced prev —
-// labels, forest, outdoor verdicts and hence the serve-side revision
-// fingerprint (see the parity fixtures in warm_test.go and
-// serve/refresh_test.go). traffic must have one row per indoor antenna of
-// prev's dataset.
+// labels, forest, outdoor verdicts once ClassifyOutdoor has run, and hence
+// the serve-side revision fingerprint (see the parity fixtures in
+// warm_test.go and serve/refresh_test.go). traffic must have one row per
+// indoor antenna of prev's dataset.
 func WarmRefreshContext(ctx context.Context, prev *Result, traffic *mat.Dense, dirty []int, wcfg WarmConfig) (*Result, RefreshStats, error) {
 	var st RefreshStats
 	if prev == nil || prev.Surrogate == nil || len(prev.Labels) == 0 {

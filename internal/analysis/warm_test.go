@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -70,6 +71,12 @@ func TestWarmRefreshDriftZeroParity(t *testing.T) {
 	}
 	if warm.SurrogateAccuracy != cold.SurrogateAccuracy {
 		t.Fatalf("surrogate accuracy %v vs %v", warm.SurrogateAccuracy, cold.SurrogateAccuracy)
+	}
+	if warm.OutdoorLabels != nil || warm.OutdoorShare != nil {
+		t.Fatal("a warm refresh must leave the outdoor verdicts to ClassifyOutdoor")
+	}
+	if err := warm.ClassifyOutdoor(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(warm.OutdoorLabels, cold.OutdoorLabels) {
 		t.Fatal("outdoor verdicts diverged on identical data")
@@ -160,8 +167,28 @@ func TestWarmRefreshEscalatesPastThreshold(t *testing.T) {
 			t.Fatalf("label %d out of range at %d", l, i)
 		}
 	}
-	if warm.Surrogate == nil || warm.OutdoorLabels == nil {
+	if warm.Surrogate == nil {
 		t.Fatal("escalated refresh must still retrain the model stages")
+	}
+	// Past the threshold the refresh is the cold pipeline on the new
+	// traffic: same labels, same forest, hence the same outdoor verdicts.
+	if err := warm.ClassifyOutdoor(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	nds := *cold.Dataset
+	nds.Traffic = traffic
+	recold, err := RunOnDataset(&nds, cold.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm.Labels, recold.Labels) {
+		t.Fatal("escalated labels diverge from a cold run on the same traffic")
+	}
+	if !reflect.DeepEqual(warm.OutdoorLabels, recold.OutdoorLabels) {
+		t.Fatal("escalated outdoor verdicts diverge from a cold run on the same traffic")
+	}
+	if !reflect.DeepEqual(warm.OutdoorShare, recold.OutdoorShare) {
+		t.Fatal("escalated outdoor shares diverge from a cold run on the same traffic")
 	}
 }
 

@@ -86,9 +86,10 @@ var Catalog = []MetricDef{
 
 	// Serving: model lifecycle.
 	{Name: "serve.model.swaps", Kind: KindCounter, Instance: true, Help: "snapshot swaps published"},
-	{Name: "serve.refresh.errors", Kind: KindCounter, Instance: true, Help: "refresh attempts that failed"},
+	{Name: "serve.refresh.audit.ms", Kind: KindHistogram, Instance: true, Help: "outdoor-verdict audit of a published revision, run after RefreshOnce returns"},
+	{Name: "serve.refresh.errors", Kind: KindCounter, Instance: true, Help: "refresh attempts and revision audits that failed"},
 	{Name: "serve.refresh.escalations", Kind: KindCounter, Instance: true, Help: "warm refreshes escalated to full re-linkage"},
-	{Name: "serve.refresh.latency.ms", Kind: KindHistogram, Instance: true, Help: "end-to-end refresh duration"},
+	{Name: "serve.refresh.latency.ms", Kind: KindHistogram, Instance: true, Help: "refresh publish latency: RefreshOnce from fold to fan-out, audit excluded"},
 	{Name: "serve.refresh.reassigned", Kind: KindCounter, Instance: true, Help: "antennas reassigned across refreshes"},
 	{Name: "serve.refresh.runs", Kind: KindCounter, Instance: true, Help: "completed refresh runs"},
 	{Name: "serve.refresh.skipped", Kind: KindCounter, Instance: true, Help: "refresh ticks with no new aggregates"},

@@ -177,38 +177,7 @@ func (g *Graph) Run(ctx context.Context, tr *obs.Trace) error {
 		go func() {
 			defer wg.Done()
 			s := g.stages[i]
-			queued := time.Since(start)
-			allocBefore := obs.MemAllocated()
-			stageStart := time.Now()
-			var err error
-			switch {
-			case runCtx.Err() != nil:
-				err = runCtx.Err()
-			case hook != nil:
-				if err = hook(s.name); err == nil {
-					err = s.fn(runCtx)
-				}
-			default:
-				err = s.fn(runCtx)
-			}
-			if tr != nil {
-				st := obs.StageTrace{
-					Name:       s.name,
-					Deps:       s.deps,
-					Wall:       time.Since(stageStart),
-					Waited:     queued,
-					Goroutines: runtime.NumGoroutine(),
-				}
-				if alloc := obs.MemAllocated(); alloc > allocBefore {
-					st.AllocBytes = alloc - allocBefore
-				}
-				if err != nil {
-					st.Err = err.Error()
-				}
-				tr.Record(st)
-			}
-			obs.Add("pipe.stages", 1)
-			finish(i, err)
+			finish(i, runStage(runCtx, tr, hook, s, time.Since(start)))
 		}()
 	}
 
@@ -227,4 +196,57 @@ func (g *Graph) Run(ctx context.Context, tr *obs.Trace) error {
 		return err
 	}
 	return firstErr
+}
+
+// RunStage runs fn as one named stage outside any graph — work that
+// follows a graph's run without joining it — and records it into tr
+// (when non-nil) exactly as Graph.Run records a graph stage, its queueing
+// delay measured from tr's start. The stage hook carried by ctx applies,
+// and a failure comes back as a *StageError.
+func RunStage(ctx context.Context, tr *obs.Trace, name string, deps []string, fn StageFunc) error {
+	var queued time.Duration
+	if tr != nil {
+		queued = time.Since(tr.Start())
+	}
+	if err := runStage(ctx, tr, stageHookFrom(ctx), stage{name: name, deps: deps, fn: fn}, queued); err != nil {
+		return &StageError{Stage: name, Err: err}
+	}
+	return nil
+}
+
+// runStage runs one stage body — unless ctx is already done or the hook
+// fails it — and records its wall time, queueing delay, allocation delta,
+// goroutine count and error into tr when tr is non-nil.
+func runStage(ctx context.Context, tr *obs.Trace, hook StageHook, s stage, queued time.Duration) error {
+	allocBefore := obs.MemAllocated()
+	stageStart := time.Now()
+	var err error
+	switch {
+	case ctx.Err() != nil:
+		err = ctx.Err()
+	case hook != nil:
+		if err = hook(s.name); err == nil {
+			err = s.fn(ctx)
+		}
+	default:
+		err = s.fn(ctx)
+	}
+	if tr != nil {
+		st := obs.StageTrace{
+			Name:       s.name,
+			Deps:       s.deps,
+			Wall:       time.Since(stageStart),
+			Waited:     queued,
+			Goroutines: runtime.NumGoroutine(),
+		}
+		if alloc := obs.MemAllocated(); alloc > allocBefore {
+			st.AllocBytes = alloc - allocBefore
+		}
+		if err != nil {
+			st.Err = err.Error()
+		}
+		tr.Record(st)
+	}
+	obs.Add("pipe.stages", 1)
+	return err
 }

@@ -213,6 +213,14 @@ func TestGraphStageHookInjectsFailure(t *testing.T) {
 	if tailRan.Load() {
 		t.Fatal("dependent ran after injected stage failure")
 	}
+	// A stage run outside a graph consults the same hook.
+	err = RunStage(ctx, nil, "mid", nil, func(ctx context.Context) error {
+		midRan.Store(true)
+		return nil
+	})
+	if !errors.As(err, &se) || se.Stage != "mid" || !errors.Is(err, boom) || midRan.Load() {
+		t.Fatalf("RunStage err = %v (body ran %v), want StageError{mid, injected} without the body", err, midRan.Load())
+	}
 	// A nil hook is a no-op passthrough.
 	if WithStageHook(context.Background(), nil) != context.Background() {
 		t.Fatal("nil hook should return ctx unchanged")
@@ -303,6 +311,15 @@ func TestGraphRecordsTrace(t *testing.T) {
 	}
 	if tr.Total() < byName["a"].Wall {
 		t.Fatalf("trace total %v below stage wall", tr.Total())
+	}
+	// A stage run after the graph lands in the same trace, queued from
+	// the trace's start.
+	if err := RunStage(context.Background(), tr, "c", []string{"b"}, func(ctx context.Context) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	stages = tr.Stages()
+	if c := stages[len(stages)-1]; c.Name != "c" || len(c.Deps) != 1 || c.Deps[0] != "b" || c.Waited < byName["a"].Wall {
+		t.Fatalf("RunStage recorded %+v, want stage c after b, queued past stage a", c)
 	}
 	rendered := tr.String()
 	for _, want := range []string{"stage", "a", "b", "TOTAL"} {

@@ -37,9 +37,10 @@ type RefreshConfig struct {
 	// OnSwap, when set, runs synchronously after RefreshOnce publishes a
 	// new snapshot to the attached server — the snapshot-distribution seam
 	// the sharded router uses to fan the same revision out to its replicas.
-	// Both arguments are shared with the serving path and must not be
-	// mutated.
-	OnSwap func(snap *ModelSnapshot, res *analysis.Result)
+	// The snapshot is shared with the serving path and must not be
+	// mutated. The revision's offline result is not handed out: its audit
+	// is still running at swap time (ResultFor waits for it).
+	OnSwap func(snap *ModelSnapshot)
 }
 
 func (c RefreshConfig) withDefaults() RefreshConfig {
@@ -58,8 +59,11 @@ func (c RefreshConfig) withDefaults() RefreshConfig {
 // RefreshInfo is the point-in-time refresh telemetry served under
 // /v1/model. Runs, Skipped, Escalations and Errors are read from the
 // server's registry (the serve.refresh.* counters); the rest is kept by
-// the refresher. LastStages is the stage trace of the last completed
-// refresh run, in completion order.
+// the refresher. LastDurationMS is the last run's publish latency: the
+// RefreshOnce call from fold to fan-out, without the audit that follows.
+// LastStages is the stage trace of the last completed refresh run, in
+// completion order; the audit's "outdoor" stage joins it, marked
+// AfterPublish, once the audit lands.
 type RefreshInfo struct {
 	Runs           int64   `json:"runs"`
 	Swaps          int64   `json:"swaps"`
@@ -74,12 +78,14 @@ type RefreshInfo struct {
 	LastStages []RefreshStage `json:"last_stages,omitempty"`
 }
 
-// RefreshStage is one pipeline stage of a refresh run: its wall time and
-// how long it waited behind its dependencies (obs.StageTrace).
+// RefreshStage is one pipeline stage of a refresh run: its wall time, how
+// long it waited behind its dependencies (obs.StageTrace), and whether it
+// ran after the revision was published (the outdoor-verdict audit).
 type RefreshStage struct {
-	Name     string  `json:"name"`
-	WallMS   float64 `json:"wall_ms"`
-	WaitedMS float64 `json:"waited_ms"`
+	Name         string  `json:"name"`
+	WallMS       float64 `json:"wall_ms"`
+	WaitedMS     float64 `json:"waited_ms"`
+	AfterPublish bool    `json:"after_publish"`
 }
 
 // RefreshOutcome reports one RefreshOnce call.
@@ -92,7 +98,9 @@ type RefreshOutcome struct {
 	Swapped bool
 	Skipped bool
 	// Stats carries the warm pipeline's drift accounting.
-	Stats    analysis.RefreshStats
+	Stats analysis.RefreshStats
+	// Duration is the publish latency: the call's wall time, which ends
+	// once every replica serves the new snapshot, before its audit.
 	Duration time.Duration
 }
 
@@ -102,13 +110,22 @@ type RefreshOutcome struct {
 // pipeline on the rows that changed (analysis.WarmRefreshContext,
 // escalating past the drift threshold), and publishes the retrained model
 // through SwapSnapshot. All work happens off the request path on the
-// process-shared worker pool; the only goroutine is the tick loop, spawned
-// via pipe.Tasks per the poolgo contract. Every published revision's offline result is retained
-// in a bounded registry (ResultFor) — registered before the swap — so any
-// served response echoing a revision can be audited against the exact
-// offline result that produced it. Only the current revision's entry is
-// the full Result (the next warm refresh starts from its surrogate); a
-// superseded revision's entry is replaced by its Result.Slim copy.
+// process-shared worker pool; the only goroutines are the tick loop and
+// one audit job per published revision, spawned via pipe.Tasks per the
+// poolgo contract.
+//
+// Every published revision's offline result is retained in a bounded
+// registry (ResultFor), so any served response echoing a revision can be
+// audited against the exact offline result that produced it. The
+// registry entry is a pending slot first: RefreshOnce reserves it under
+// the same lock as the swap and returns once the snapshot is served
+// everywhere; the audit job then computes the revision's outdoor verdicts
+// (Result.ClassifyOutdoor) and only then registers the complete result.
+// ResultFor of a pending revision waits for the slot, and the next
+// refresh waits for it before it starts from that result. Only the
+// current revision's entry is the full Result (the next warm refresh
+// starts from its surrogate); a superseded revision's entry is replaced
+// by its Result.Slim copy.
 type Refresher struct {
 	srv *Server
 	cfg RefreshConfig
@@ -123,12 +140,15 @@ type Refresher struct {
 	// mu guards the revision registry and the telemetry no counter
 	// carries. The serve.refresh.* counters are bumped and the swap is
 	// published under it too, so Info reads one consistent refresh. cur
-	// is the full result of info.LastRevision.
+	// is the full result of info.LastRevision, nil while that revision's
+	// audit is pending; audit is that revision's registry slot, nil once
+	// the audit has landed.
 	mu      sync.Mutex
 	cur     *analysis.Result
 	history map[uint64]*analysis.Result
 	order   []uint64
 	info    RefreshInfo
+	audit   *auditSlot
 
 	tasks     pipe.Tasks
 	stop      chan struct{}
@@ -165,19 +185,35 @@ func NewRefresher(srv *Server, base *analysis.Result, cfg RefreshConfig) (*Refre
 		history:  map[uint64]*analysis.Result{},
 		stop:     make(chan struct{}),
 	}
-	r.register(snap.Revision, base)
 	r.mu.Lock()
+	r.register(snap.Revision, base)
 	r.info.LastRevision = snap.Revision
 	r.mu.Unlock()
 	srv.refresh.Store(r)
 	return r, nil
 }
 
+// auditSlot is a published revision's pending registry entry: done closes
+// once its audit job has registered the complete result, or has failed
+// and left the revision unresolvable.
+type auditSlot struct {
+	revision uint64
+	done     chan struct{}
+}
+
+// wait blocks until the slot resolves or ctx is done.
+func (a *auditSlot) wait(ctx context.Context) error {
+	select {
+	case <-a.done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 // register retains a revision's offline result, evicting the oldest entry
-// past the history bound. Callers must not hold r.mu.
+// past the history bound. Callers hold r.mu.
 func (r *Refresher) register(revision uint64, res *analysis.Result) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if _, ok := r.history[revision]; !ok {
 		r.order = append(r.order, revision)
 		for len(r.order) > r.cfg.History {
@@ -189,13 +225,20 @@ func (r *Refresher) register(revision uint64, res *analysis.Result) {
 }
 
 // ResultFor returns the offline pipeline result that produced the given
-// snapshot revision, if it is still within the history bound. The current
-// revision resolves to its full Result. A superseded revision resolves to
+// snapshot revision, if it is still within the history bound. A revision
+// whose audit is still pending blocks the call until the audit lands; a
+// failed audit leaves the revision unresolved. The current revision
+// resolves to its full Result. A superseded revision resolves to
 // its Result.Slim copy: Config, Dataset, K, Labels, LabelAlignment,
 // SurrogateAccuracy, OutdoorLabels, OutdoorShare, Forecasts and the stage
 // trace are set, so verdict audits, RefitForecasts and Trace work, but
 // Surrogate and RSCA are nil and NewModelSnapshot rejects it.
 func (r *Refresher) ResultFor(revision uint64) (*analysis.Result, bool) {
+	if a := r.pendingAudit(); a != nil && a.revision == revision {
+		// The audit job always finishes (it runs uncancelled), and this
+		// signature carries no context to give up with.
+		_ = a.wait(context.TODO())
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	res, ok := r.history[revision]
@@ -223,13 +266,27 @@ func (r *Refresher) Start() {
 	})
 }
 
-// Stop halts the tick loop and waits for an in-flight refresh to finish.
-// The server keeps serving whatever snapshot is current.
+// Stop halts the tick loop and waits for an in-flight refresh and every
+// audit job it started to finish, so each revision published by then
+// resolves through ResultFor. The server keeps serving whatever snapshot
+// is current.
 func (r *Refresher) Stop() {
 	r.stopOnce.Do(func() {
 		close(r.stop)
 	})
+	// A RefreshOnce in flight on another goroutine starts its audit job
+	// before it releases refreshMu; that job must be tracked before Wait.
+	r.refreshMu.Lock()
+	r.refreshMu.Unlock()
 	r.tasks.Wait()
+}
+
+// pendingAudit returns the registry slot of the revision whose audit is
+// running, or nil.
+func (r *Refresher) pendingAudit() *auditSlot {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.audit
 }
 
 func (r *Refresher) loop() {
@@ -263,14 +320,24 @@ func (r *Refresher) loop() {
 
 // RefreshOnce runs a single fold → warm retrain → swap cycle. It is safe
 // to call concurrently with the tick loop (runs serialize) and returns the
-// outcome of this attempt. A refresh whose retrained snapshot fingerprints
-// to the currently served revision publishes nothing.
+// outcome of this attempt as soon as the new snapshot is served (and, with
+// OnSwap, fanned out); the revision's outdoor-verdict audit then runs on
+// its own job (see Refresher). A refresh whose retrained snapshot
+// fingerprints to the currently served revision publishes nothing.
 func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	r.refreshMu.Lock()
 	defer r.refreshMu.Unlock()
 	start := time.Now()
 	var out RefreshOutcome
 	out.Revision = r.srv.Snapshot().Revision
+
+	// The previous revision's audit sets r.cur, and the slim copy below
+	// must carry its verdicts: let it land first.
+	if a := r.pendingAudit(); a != nil {
+		if err := a.wait(ctx); err != nil {
+			return out, r.fail(err)
+		}
+	}
 
 	totals := r.srv.ingest.TrafficMatrix(r.acc.Rows(), r.acc.Cols())
 	if err := r.acc.SetTotals(totals); err != nil {
@@ -304,18 +371,15 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	}
 
 	// Read the trace while wres is still private: Trace initializes it
-	// lazily, and a published result is frozen.
+	// lazily, and a registered result is frozen.
 	stages := refreshStages(wres)
-
-	// Register the revision's offline result *before* publishing the
-	// snapshot: a response served the instant after the swap must already
-	// be resolvable through ResultFor.
-	r.register(snap.Revision, wres)
 	slim := prev.Slim()
 	reg := r.srv.reg
+	slot := &auditSlot{revision: snap.Revision, done: make(chan struct{})}
 
 	// Publish and count under mu: a reader that sees the new revision
-	// served and then asks Info finds the swap already counted.
+	// served and then asks Info finds the swap already counted, and one
+	// that asks ResultFor finds the revision's pending slot.
 	r.mu.Lock()
 	swapped := snap.Revision != r.srv.Snapshot().Revision
 	if swapped {
@@ -325,16 +389,18 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 			return out, err
 		}
 	}
+	r.audit = slot
 	for i := 0; i < totals.Rows(); i++ {
 		copy(r.lastGood.Row(i), totals.Row(i))
 	}
 
 	// prev is superseded: its audit fields stay resolvable, but its
-	// forest, RSCA and caches are no longer pinned by the registry.
+	// forest, RSCA and caches are no longer pinned by the registry. cur
+	// stays nil until wres's audit lands.
 	if prevRev := r.info.LastRevision; prevRev != snap.Revision && r.history[prevRev] == prev {
 		r.history[prevRev] = slim
 	}
-	r.cur = wres
+	r.cur = nil
 	reg.Add("serve.refresh.runs", 1)
 	reg.Add("serve.refresh.reassigned", int64(st.Reassigned))
 	if swapped {
@@ -351,13 +417,48 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	r.mu.Unlock()
 
 	if swapped && r.cfg.OnSwap != nil {
-		r.cfg.OnSwap(snap, wres)
+		r.cfg.OnSwap(snap)
 	}
+	// The tick loop cancels ctx as soon as this call returns; the audit
+	// must outlive it.
+	actx := context.WithoutCancel(ctx)
+	r.tasks.Go(func() { r.auditRevision(actx, slot, wres, len(stages)) })
 	out.Revision = snap.Revision
 	out.Swapped = swapped
 	out.Duration = time.Since(start)
 	reg.ObserveMS("serve.refresh.latency.ms", msSince(start))
 	return out, nil
+}
+
+// auditRevision computes a published revision's outdoor verdicts off the
+// publish path, then registers the complete result as the current one and
+// resolves the revision's slot. published is how many stages res's trace
+// held at publish time; the stages recorded after it are marked
+// AfterPublish. A failed audit counts serve.refresh.errors and leaves the
+// revision unregistered; res still becomes the next refresh's base.
+func (r *Refresher) auditRevision(ctx context.Context, slot *auditSlot, res *analysis.Result, published int) {
+	defer close(slot.done)
+	start := time.Now()
+	err := res.ClassifyOutdoor(ctx)
+	stages := refreshStages(res)
+	for i := published; i < len(stages); i++ {
+		stages[i].AfterPublish = true
+	}
+	reg := r.srv.reg
+	r.mu.Lock()
+	if err == nil {
+		r.register(slot.revision, res)
+	} else {
+		reg.Add("serve.refresh.errors", 1)
+	}
+	r.cur = res
+	r.audit = nil
+	r.info.LastStages = stages
+	reg.ObserveMS("serve.refresh.audit.ms", msSince(start))
+	r.mu.Unlock()
+	if err != nil && r.cfg.Logf != nil {
+		r.cfg.Logf("refresh audit of revision %016x failed: %v", slot.revision, err)
+	}
 }
 
 // refreshStages converts a refresh result's stage trace for RefreshInfo.

@@ -15,6 +15,8 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
+	"repro/internal/mat"
+	"repro/internal/rca"
 	"repro/internal/synth"
 )
 
@@ -185,7 +187,9 @@ func TestRefresherAdvancesRevisionAndServesParity(t *testing.T) {
 	if model.Revision != out.Revision || model.Refresh.Runs != 1 || model.Refresh.Swaps != 1 {
 		t.Fatalf("/v1/model refresh telemetry: %s", mbody)
 	}
-	// ...including the stage trace of the refresh that swapped.
+	// ...including the stage trace of the refresh that swapped. ResultFor
+	// above waited for the revision's audit, so its outdoor stage has
+	// landed, marked as run after the publish.
 	stages := map[string]RefreshStage{}
 	for _, st := range model.Refresh.LastStages {
 		stages[st.Name] = st
@@ -194,6 +198,9 @@ func TestRefresherAdvancesRevisionAndServesParity(t *testing.T) {
 		st, ok := stages[name]
 		if !ok || st.WallMS <= 0 || st.WaitedMS < 0 {
 			t.Fatalf("/v1/model last_stages lacks a timed %q stage: %s", name, mbody)
+		}
+		if st.AfterPublish != (name == "outdoor") {
+			t.Fatalf("/v1/model last_stages: %q after_publish = %v: %s", name, st.AfterPublish, mbody)
 		}
 	}
 }
@@ -561,6 +568,153 @@ func TestDrainDuringSwap(t *testing.T) {
 				t.Fatalf("revision %016x: served cluster %d for antenna %d, offline %d",
 					o.rev, c, i, offline.OutdoorLabels[i])
 			}
+		}
+	}
+}
+
+// TestResultForRacesBackToBackRefreshes: readers resolve every published
+// revision through ResultFor while RefreshOnce runs back to back, so reads
+// land on pending audits, on the current result and on slim entries. Each
+// read must return the verdicts a synchronous WarmRefresh + ClassifyOutdoor
+// chain computes for that revision, no registry entry may hold nil
+// verdicts, and Stop must return only after the last audit has landed.
+func TestResultForRacesBackToBackRefreshes(t *testing.T) {
+	res := goldenResult(t)
+	snap, err := NewModelSnapshot(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, snap, Config{})
+	ref, err := NewRefresher(s, res, RefreshConfig{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Stop()
+
+	type observed struct {
+		rev    uint64
+		labels []int
+		ok     bool
+	}
+	var (
+		mu        sync.Mutex
+		published = []uint64{snap.Revision}
+		observes  []observed
+		readers   sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				revs := append([]uint64{s.Snapshot().Revision}, published...)
+				mu.Unlock()
+				for _, rev := range revs {
+					res, ok := ref.ResultFor(rev)
+					o := observed{rev: rev, ok: ok}
+					if ok {
+						o.labels = res.OutdoorLabels
+					}
+					mu.Lock()
+					observes = append(observes, o)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+
+	const refreshes = 8
+	rows, cols := res.Dataset.Traffic.Rows(), res.Dataset.Traffic.Cols()
+	var seen []*mat.Dense
+	var revs []uint64
+	for i := 0; i < refreshes; i++ {
+		s.Ingest().Fold(ingestRecords(100 * (i + 1)))
+		seen = append(seen, s.Ingest().TrafficMatrix(rows, cols))
+		out, err := ref.RefreshOnce(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		revs = append(revs, out.Revision)
+		mu.Lock()
+		published = append(published, out.Revision)
+		mu.Unlock()
+	}
+	ref.Stop()
+	close(stop)
+	readers.Wait()
+
+	// Stop waited for the last audit: nothing is pending, and every
+	// registry entry, slim or full, holds its verdicts.
+	ref.mu.Lock()
+	if ref.audit != nil {
+		ref.mu.Unlock()
+		t.Fatalf("Stop returned with revision %016x still being audited", ref.audit.revision)
+	}
+	for rev, entry := range ref.history {
+		if entry.OutdoorLabels == nil || entry.OutdoorShare == nil {
+			ref.mu.Unlock()
+			t.Fatalf("registry entry %016x holds nil verdicts", rev)
+		}
+	}
+	last, ok := ref.history[revs[len(revs)-1]]
+	ref.mu.Unlock()
+	if !ok || last.Surrogate == nil {
+		t.Fatal("the last revision is not registered as the full current result")
+	}
+
+	// The synchronous reference: the same chain of folds, refreshed and
+	// audited in line.
+	acc, err := rca.NewAccumulator(res.Dataset.Traffic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64][]int{snap.Revision: res.OutdoorLabels}
+	prev := res
+	for i, totals := range seen {
+		if err := acc.SetTotals(totals); err != nil {
+			t.Fatal(err)
+		}
+		traffic, dirty := acc.Materialize()
+		w, _, err := analysis.WarmRefresh(prev, traffic, dirty, analysis.WarmConfig{DriftThreshold: analysis.DefaultDriftThreshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.ClassifyOutdoor(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		wsnap, err := NewModelSnapshot(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wsnap.Revision != revs[i] {
+			t.Fatalf("refresh %d published %016x, the synchronous chain %016x", i, revs[i], wsnap.Revision)
+		}
+		want[wsnap.Revision] = w.OutdoorLabels
+		prev = w
+	}
+
+	if len(observes) == 0 {
+		t.Fatal("no reader completed a ResultFor call")
+	}
+	for _, o := range observes {
+		if !o.ok || o.labels == nil {
+			t.Fatalf("ResultFor(%016x) = ok %v, verdicts %v: every served revision must resolve with verdicts", o.rev, o.ok, o.labels != nil)
+		}
+		if !slices.Equal(o.labels, want[o.rev]) {
+			t.Fatalf("ResultFor(%016x) verdicts differ from the synchronous WarmRefresh + ClassifyOutdoor", o.rev)
+		}
+	}
+	for _, rev := range revs {
+		got, ok := ref.ResultFor(rev)
+		if !ok || !slices.Equal(got.OutdoorLabels, want[rev]) {
+			t.Fatalf("revision %016x does not resolve to its verdicts after Stop", rev)
 		}
 	}
 }

@@ -1,16 +1,18 @@
 // Package shard is the nationwide-scale tier of the serving stack: a
-// consistent-hash ring partitioning antennas across N collect.Sink shards,
-// a bounded per-shard ingest queue layer with drain-on-kill semantics, and
-// a thin HTTP router fronting M serve replicas that fans revision-tagged
-// model snapshots out through the existing SwapSnapshot/Refresher
-// machinery — so every replica serves the same registered revision and
-// every acked batch survives shard kills and graceful shutdown.
+// consistent-hash ring placing antennas on the N shards of one bounded
+// serve.Sinks ingest tier, and a thin HTTP router fronting M serve
+// replicas that fans revision-tagged model snapshots out through the
+// existing SwapSnapshot/Refresher machinery — so every replica serves the
+// same registered revision and every acked batch survives shard kills
+// and graceful shutdown.
 //
 // The package deliberately reuses the single-node building blocks instead
-// of inventing parallel ones: shards are plain collect.Sinks, replicas are
-// plain serve.Servers, fault injection rides the same internal/fault
-// sites, and the refresher's Totals/OnSwap seams carry the cross-shard
-// aggregation and the snapshot fan-out.
+// of inventing parallel ones: the ingest tier is the server's own
+// serve.Sinks (per-shard queues over plain collect.Sinks), handed to every
+// replica; replicas are plain serve.Servers; fault injection rides the
+// same internal/fault sites; and the refresher, attached to replica 0,
+// folds the tier's merged totals and fans each swap out through its one
+// OnSwap seam.
 package shard
 
 import (

@@ -186,7 +186,7 @@ func NewRouter(snap *serve.ModelSnapshot, base *analysis.Result, cfg Config) (*R
 // exactly the protocol — identical revision, identical verdicts. Runs
 // synchronously inside RefreshOnce (the OnSwap seam), so when a refresh
 // returns, every live replica already serves the new revision.
-func (rt *Router) fanOut(snap *serve.ModelSnapshot, res *analysis.Result) {
+func (rt *Router) fanOut(snap *serve.ModelSnapshot) {
 	start := time.Now()
 	for i, rep := range rt.replicas {
 		if i == 0 || !rep.alive.Load() {

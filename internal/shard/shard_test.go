@@ -530,6 +530,59 @@ func TestRouterParityFanoutAndFailover(t *testing.T) {
 	}
 }
 
+// TestShutdownAfterRefreshResolvesEveryRevision: RefreshOnce returns
+// before its revision's outdoor verdicts are computed, so Router.Shutdown
+// called right after it must wait for that audit. Once Shutdown returns,
+// every revision the router fanned out resolves through ResultFor to a
+// result with verdicts, and the last refresh's audit stage has landed.
+func TestShutdownAfterRefreshResolvesEveryRevision(t *testing.T) {
+	res := goldenResult(t)
+	snap, err := serve.NewModelSnapshot(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := startRouter(t, snap, res, Config{Shards: 2, Replicas: 2, RingSeed: 5})
+	indoor := res.Dataset.Traffic.Rows()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	revs := []uint64{snap.Revision}
+	for i := 0; i < 3; i++ {
+		rt.Sinks().Fold(ingestRecords(80*(i+1), indoor))
+		out, err := rt.RefreshOnce(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Swapped {
+			t.Fatalf("refresh %d over new aggregates did not swap: %+v", i, out)
+		}
+		for r := 0; r < 2; r++ {
+			if got := rt.Replica(r).Snapshot().Revision; got != out.Revision {
+				t.Fatalf("replica %d serves %016x, refresh published %016x", r, got, out.Revision)
+			}
+		}
+		revs = append(revs, out.Revision)
+	}
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	var audited bool
+	for _, st := range rt.Refresher().Info().LastStages {
+		if st.Name == "outdoor" && st.AfterPublish {
+			audited = true
+		}
+	}
+	if !audited {
+		t.Fatal("Shutdown returned before the last revision's audit landed")
+	}
+	for _, rev := range revs {
+		got, ok := rt.ResultFor(rev)
+		if !ok || len(got.OutdoorLabels) != res.Dataset.OutdoorTraffic.Rows() {
+			t.Fatalf("fanned-out revision %016x does not resolve to its verdicts after Shutdown", rev)
+		}
+	}
+}
+
 // TestRouterBackpressure429: full shard queues reject whole batches with
 // 429 + Retry-After, and a retried batch eventually lands.
 func TestRouterBackpressure429(t *testing.T) {
