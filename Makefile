@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build fmt-check lint test race bench bench-gate bench-baseline artifacts serve-bench fuzz-short
+.PHONY: build fmt-check lint test race bench bench-gate bench-baseline artifacts serve-bench fuzz-short perf-pairs
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,16 @@ artifacts:
 # mid-run swap and per-revision bit-parity audit).
 serve-bench:
 	$(GO) run ./cmd/icnbench -serve -scale 0.1 -trees 25 -servejson BENCH_serve.json
+
+# Alternating A/B pairs of one perfbench workload: REF, checked out in a
+# temporary git worktree, against the working tree, N pairs of 30 s runs
+# (seed = pair number), with per-pair values, medians and win counts. Not
+# run in CI. Example: make perf-pairs REF=HEAD~1 WORKLOAD=ingest_refresh N=10
+REF ?= HEAD
+WORKLOAD ?= ingest_refresh
+N ?= 10
+perf-pairs:
+	./scripts/perf_pairs.sh $(REF) $(WORKLOAD) $(N)
 
 # Every fuzz target for a short fixed slice each — the CI-sized sweep of
 # the wire-format, CSV, and HTTP-body parsers.

@@ -258,7 +258,9 @@ type AntennaVerdict = serve.AntennaVerdict
 // the antennas that changed (escalating to a full re-clustering past the
 // drift threshold), and atomically publishes the retrained snapshot. Each
 // revision's outdoor verdicts are computed after the publish; ResultFor
-// waits for them.
+// waits for them. ResultFor serves a superseded revision as a slim copy
+// that keeps its verdicts, labels and forecasts but not its traffic, so a
+// forecast refit must run while the revision is current.
 type Refresher = serve.Refresher
 
 // RefreshConfig parameterizes a Refresher: tick interval, drift

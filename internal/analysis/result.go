@@ -153,21 +153,21 @@ func (r *Result) Trace() *obs.Trace {
 	return r.trace
 }
 
-// Slim returns a fresh Result holding only what per-revision audits and
-// offline refits read: Config, Dataset, K, Labels, LabelAlignment,
-// SurrogateAccuracy, OutdoorLabels, OutdoorShare, Forecasts and the stage
-// trace. The surrogate forest, RSCA matrix, linkage, selection sweep,
-// contingency table and the lazily built caches are left behind, so a
-// slim copy costs about one traffic matrix plus the forecast set, and
-// RefitForecasts, Trace and the outdoor verdicts still work on it. r is
-// not modified; anyone holding r keeps the full result.
+// Slim returns a fresh Result holding only what per-revision audits read:
+// Config, K, Labels, LabelAlignment, SurrogateAccuracy, OutdoorLabels,
+// OutdoorShare, Forecasts and the stage trace. The dataset (and with it
+// the N × M traffic matrix), surrogate forest, RSCA matrix, linkage,
+// selection sweep, contingency table and the lazily built caches are left
+// behind, so a slim copy costs the label vectors plus the forecast set.
+// Trace and the outdoor verdicts still work on it; RefitForecasts, which
+// needs the traffic, returns an error. r is not modified; anyone holding
+// r keeps the full result.
 func (r *Result) Slim() *Result {
 	r.mu.Lock()
 	tr := r.trace
 	r.mu.Unlock()
 	return &Result{
 		Config:            r.Config,
-		Dataset:           r.Dataset,
 		K:                 r.K,
 		Labels:            r.Labels,
 		LabelAlignment:    r.LabelAlignment,

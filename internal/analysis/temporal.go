@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/forecast"
 	"repro/internal/pipe"
@@ -218,8 +219,12 @@ func (r *Result) ClusterHourlySeriesContext(ctx context.Context, clusterID, maxA
 // forecast stage runs, so the returned set's Digest matches
 // Result.Forecasts bit-for-bit. Offline parity audits and the forecast
 // benchmark's training-time measurement use it; serving reads the
-// published Forecasts field instead.
+// published Forecasts field instead. A result without a dataset (a Slim
+// copy) has no traffic to refit on and returns an error.
 func (r *Result) RefitForecasts(ctx context.Context) (*forecast.Set, error) {
+	if r.Dataset == nil {
+		return nil, fmt.Errorf("analysis: refit forecasts: result holds no dataset (a slim copy)")
+	}
 	return fitForecastSet(ctx, r.Dataset, r.Config, r.K, r.Labels)
 }
 

@@ -27,10 +27,10 @@ type RefreshConfig struct {
 	// History bounds the revision → offline-result registry consulted by
 	// parity checks and post-swap audits (default 64 revisions). It is
 	// also the byte bound: only the current revision is a full Result; a
-	// superseded one is kept as Result.Slim (Config, Dataset, K, Labels,
+	// superseded one is kept as Result.Slim (Config, K, Labels,
 	// LabelAlignment, SurrogateAccuracy, OutdoorLabels, OutdoorShare,
-	// Forecasts and the stage trace), whose fixed shape costs about one
-	// N × M traffic matrix plus the forecast set per entry.
+	// Forecasts and the stage trace), whose fixed shape costs the label
+	// vectors plus the forecast set per entry and pins no traffic matrix.
 	History int
 	// Logf, when set, receives one line per completed refresh attempt.
 	Logf func(format string, args ...any)
@@ -125,7 +125,8 @@ type RefreshOutcome struct {
 // refresh waits for it before it starts from that result. Only the
 // current revision's entry is the full Result (the next warm refresh
 // starts from its surrogate); a superseded revision's entry is replaced
-// by its Result.Slim copy.
+// by its Result.Slim copy, which keeps the audit surface and drops the
+// revision's traffic matrix.
 type Refresher struct {
 	srv *Server
 	cfg RefreshConfig
@@ -228,11 +229,13 @@ func (r *Refresher) register(revision uint64, res *analysis.Result) {
 // snapshot revision, if it is still within the history bound. A revision
 // whose audit is still pending blocks the call until the audit lands; a
 // failed audit leaves the revision unresolved. The current revision
-// resolves to its full Result. A superseded revision resolves to
-// its Result.Slim copy: Config, Dataset, K, Labels, LabelAlignment,
+// resolves to its full Result, so a forecast refit (RefitForecasts) must
+// run while the revision is current. A superseded revision resolves to
+// its Result.Slim copy: Config, K, Labels, LabelAlignment,
 // SurrogateAccuracy, OutdoorLabels, OutdoorShare, Forecasts and the stage
-// trace are set, so verdict audits, RefitForecasts and Trace work, but
-// Surrogate and RSCA are nil and NewModelSnapshot rejects it.
+// trace are set, so verdict audits, forecast digests and Trace work, but
+// Dataset, Surrogate and RSCA are nil: RefitForecasts returns an error
+// and NewModelSnapshot rejects it.
 func (r *Refresher) ResultFor(revision uint64) (*analysis.Result, bool) {
 	if a := r.pendingAudit(); a != nil && a.revision == revision {
 		// The audit job always finishes (it runs uncancelled), and this
@@ -395,8 +398,8 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	}
 
 	// prev is superseded: its audit fields stay resolvable, but its
-	// forest, RSCA and caches are no longer pinned by the registry. cur
-	// stays nil until wres's audit lands.
+	// traffic matrix, forest, RSCA and caches are no longer pinned by the
+	// registry. cur stays nil until wres's audit lands.
 	if prevRev := r.info.LastRevision; prevRev != snap.Revision && r.history[prevRev] == prev {
 		r.history[prevRev] = slim
 	}

@@ -237,9 +237,11 @@ func servedShapeResult(t *testing.T) *analysis.Result {
 
 // TestSupersededRevisionKeepsAuditSurface: once a revision is superseded,
 // ResultFor serves its slim copy. Every audit a caller runs on a served
-// revision — verdict parity, label reads, the forecast refit, the stage
-// trace — must still resolve to the values captured while it was current,
-// while the forest and RSCA matrix are no longer retained.
+// revision — verdict parity, label reads, the published forecast digest,
+// the stage trace — must still resolve to the values captured while it
+// was current, while the traffic matrix, forest and RSCA matrix are no
+// longer retained. The forecast refit needs the traffic, so it is checked
+// while the revision is current and refused on the slim copy.
 func TestSupersededRevisionKeepsAuditSurface(t *testing.T) {
 	res := servedShapeResult(t)
 	snap, err := NewModelSnapshot(res)
@@ -261,6 +263,13 @@ func TestSupersededRevisionKeepsAuditSurface(t *testing.T) {
 	outdoor := slices.Clone(full.OutdoorLabels)
 	labels := slices.Clone(full.Labels)
 	digest := full.Forecasts.Digest()
+	refit, err := full.RefitForecasts(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := refit.Digest(); got != digest {
+		t.Fatalf("refit of the current revision: digest %016x, want the published %016x", got, digest)
+	}
 
 	rev2 := swapOnce(t, s, ref, 400)
 	if rev2 == rev1 {
@@ -279,18 +288,14 @@ func TestSupersededRevisionKeepsAuditSurface(t *testing.T) {
 	if got := slim.Forecasts.Digest(); got != digest {
 		t.Fatalf("slim forecast digest %016x, want %016x", got, digest)
 	}
-	refit, err := slim.RefitForecasts(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := refit.Digest(); got != digest {
-		t.Fatalf("refit on the slim copy: digest %016x, want %016x", got, digest)
+	if _, err := slim.RefitForecasts(context.Background()); err == nil {
+		t.Fatal("RefitForecasts on a slim copy must fail: it holds no traffic")
 	}
 	if len(slim.Trace().Stages()) == 0 {
 		t.Fatal("slim copy lost the revision's stage trace")
 	}
-	if slim.Surrogate != nil || slim.RSCA != nil {
-		t.Fatal("slim copy still pins the surrogate or the RSCA matrix")
+	if slim.Dataset != nil || slim.Surrogate != nil || slim.RSCA != nil {
+		t.Fatal("slim copy still pins the dataset, the surrogate or the RSCA matrix")
 	}
 	if _, err := NewModelSnapshot(slim); err == nil {
 		t.Fatal("NewModelSnapshot accepted a slim result")
@@ -312,22 +317,102 @@ func TestSupersededRevisionKeepsAuditSurface(t *testing.T) {
 	if 2*slimBytes > fullBytes {
 		t.Fatalf("slim copy retains %d B, more than half the full result's %d B", slimBytes, fullBytes)
 	}
-	// The slim entry's shape is the documented byte bound: one traffic
-	// matrix, the label vectors and the forecast set, plus headers.
-	traffic := slim.Dataset.Traffic
-	bound := int64(8*traffic.Rows()*traffic.Cols()) +
-		8*int64(len(slim.Labels)+len(slim.LabelAlignment)+len(slim.OutdoorLabels)+len(slim.OutdoorShare)) +
-		retainedBytes(reflect.ValueOf(slim.Forecasts), maps.Clone(shared)) +
-		slimEntryOverhead
-	if slimBytes > bound {
+	// The slim entry's shape is the documented byte bound: the label
+	// vectors and the forecast set, plus headers.
+	if bound := slimEntryBound(slim, shared); slimBytes > bound {
 		t.Fatalf("slim copy retains %d B, above its shape bound of %d B", slimBytes, bound)
 	}
 }
 
-// slimEntryOverhead bounds what a slim entry holds besides its traffic
-// matrix, label vectors and forecast set: the Result and Dataset headers,
-// the matrix header and the stage trace.
+// TestRefreshRegistryBoundedInBytes: the registry is bounded in entries
+// and, through the slim shape, in bytes. After History+3 refreshes it
+// holds exactly History revisions, no superseded entry reaches any
+// revision's traffic matrix (the current one reaches only its own), and
+// the bytes the registry retains beyond the current revision's full
+// result — which the next refresh starts from whatever the bound — stay
+// within History slim-entry bounds.
+func TestRefreshRegistryBoundedInBytes(t *testing.T) {
+	res := servedShapeResult(t)
+	snap, err := NewModelSnapshot(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startServer(t, snap, Config{})
+	const history = 4
+	ref, err := NewRefresher(s, res, RefreshConfig{Interval: time.Hour, History: history})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Stop()
+
+	// Every revision's traffic matrix. The test holds each one, so no
+	// address below can be freed and reused by a later allocation.
+	traffic := map[uint64]*mat.Dense{snap.Revision: res.Dataset.Traffic}
+	var cur uint64
+	for i := 0; i < history+3; i++ {
+		cur = swapOnce(t, s, ref, 100*(i+1))
+		full, ok := ref.ResultFor(cur)
+		if !ok || full.Dataset == nil {
+			t.Fatalf("current revision %016x must resolve to its full result", cur)
+		}
+		traffic[cur] = full.Dataset.Traffic
+	}
+
+	ref.mu.Lock()
+	entries := maps.Clone(ref.history)
+	ref.mu.Unlock()
+	if len(entries) != history {
+		t.Fatalf("registry holds %d entries after %d refreshes, want History = %d", len(entries), history+3, history)
+	}
+	current := entries[cur]
+	if current == nil || current.Surrogate == nil {
+		t.Fatalf("current revision %016x is not registered as its full result", cur)
+	}
+	for rev, e := range entries {
+		reach := map[uintptr]bool{}
+		retainedBytes(reflect.ValueOf(e), reach)
+		for owner, m := range traffic {
+			if rev == cur && owner == cur {
+				continue // the current result is the next refresh's base
+			}
+			header, data := reflect.ValueOf(m).Pointer(), reflect.ValueOf(m.Row(0)).Pointer()
+			if reach[header] || reach[data] {
+				t.Fatalf("entry %016x reaches revision %016x's traffic matrix", rev, owner)
+			}
+		}
+	}
+
+	shared := map[uintptr]bool{}
+	retainedBytes(reflect.ValueOf(current), shared)
+	var perEntry int64
+	for rev, e := range entries {
+		if rev != cur {
+			perEntry = max(perEntry, slimEntryBound(e, shared))
+		}
+	}
+	var total int64
+	for _, e := range entries {
+		total += retainedBytes(reflect.ValueOf(e), shared)
+	}
+	limit := history * perEntry
+	t.Logf("registry of %d entries retains %d B beyond the current result; bound %d B", len(entries), total, limit)
+	if total > limit {
+		t.Fatalf("registry retains %d B beyond the current result, above History × slim bound = %d B", total, limit)
+	}
+}
+
+// slimEntryOverhead bounds what a slim entry holds besides its label
+// vectors and forecast set: the Result header and the stage trace.
 const slimEntryOverhead = 4 << 10
+
+// slimEntryBound is the byte bound of one slim registry entry: its label
+// vectors and its forecast set's bytes beyond shared, plus
+// slimEntryOverhead.
+func slimEntryBound(slim *analysis.Result, shared map[uintptr]bool) int64 {
+	return 8*int64(len(slim.Labels)+len(slim.LabelAlignment)+len(slim.OutdoorLabels)+len(slim.OutdoorShare)) +
+		retainedBytes(reflect.ValueOf(slim.Forecasts), maps.Clone(shared)) +
+		slimEntryOverhead
+}
 
 // retainedBytes sums the heap bytes reachable from v that are not yet in
 // seen, marking what it visits: a pointer counts its pointee once, a
@@ -496,11 +581,16 @@ func TestDrainDuringSwap(t *testing.T) {
 		observes []observed
 		wg       sync.WaitGroup
 	)
+	const clients = 3
 	stopClients := make(chan struct{})
-	for c := 0; c < 3; c++ {
+	// Each client signals its first 200 here, so the race below starts
+	// with every client mid-stream.
+	firstOK := make(chan struct{}, clients)
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			signalled := false
 			for {
 				select {
 				case <-stopClients:
@@ -527,8 +617,21 @@ func TestDrainDuringSwap(t *testing.T) {
 				obsMu.Lock()
 				observes = append(observes, o)
 				obsMu.Unlock()
+				if !signalled {
+					signalled = true
+					firstOK <- struct{}{}
+				}
 			}
 		}()
+	}
+	for c := 0; c < clients; c++ {
+		select {
+		case <-firstOK:
+		case <-time.After(30 * time.Second):
+			close(stopClients)
+			wg.Wait()
+			t.Fatalf("only %d of %d classify clients completed a request before the race", c, clients)
+		}
 	}
 
 	// Race: the refresh (ending in SwapSnapshot) against graceful shutdown.
@@ -556,8 +659,9 @@ func TestDrainDuringSwap(t *testing.T) {
 	// offline result of the revision it echoes — no verdict from an
 	// outgoing revision under the incoming revision's banner or vice versa.
 	if len(observes) == 0 {
-		t.Log("no classify response completed during the race (still asserting drain)")
+		t.Fatal("no classify response completed, so no verdict was audited")
 	}
+	t.Logf("auditing %d classify responses", len(observes))
 	for _, o := range observes {
 		offline, ok := ref.ResultFor(o.rev)
 		if !ok {

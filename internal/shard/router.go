@@ -251,7 +251,9 @@ func (rt *Router) Ring() *Ring { return rt.ring }
 func (rt *Router) Refresher() *serve.Refresher { return rt.ref }
 
 // ResultFor resolves a served revision to the offline result that
-// produced it, through the attached refresher's registry.
+// produced it, through the attached refresher's registry: the full result
+// while the revision is current, its Result.Slim copy (verdicts, labels,
+// forecasts and trace, no dataset) once a refresh supersedes it.
 func (rt *Router) ResultFor(revision uint64) (*analysis.Result, bool) {
 	if rt.ref == nil {
 		return nil, false

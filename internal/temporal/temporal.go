@@ -17,14 +17,22 @@ import (
 type Calendar struct {
 	start time.Time
 	days  int
+	// strike, first and last are the fixed day indices StrikeDay and
+	// AnalysisWindow return, resolved once: the weight templates ask for
+	// the strike day on every (day, hour) of every antenna.
+	strike, first, last int
 }
 
 // NewCalendar returns the paper's two-month measurement calendar.
 func NewCalendar() *Calendar {
-	return &Calendar{
+	c := &Calendar{
 		start: time.Date(2022, 11, 21, 0, 0, 0, 0, time.UTC),
 		days:  65,
 	}
+	c.strike = c.DayIndex(2023, time.January, 19)
+	c.first = c.DayIndex(2023, time.January, 4)
+	c.last = c.DayIndex(2023, time.January, 24)
+	return c
 }
 
 // Days returns the number of days covered (65).
@@ -72,13 +80,11 @@ func (c *Calendar) DayIndex(year int, month time.Month, day int) int {
 // StrikeDay returns the day index of the 2023-01-19 national general
 // strike, which Section 6 identifies as a near-zero-traffic day for the
 // commuter clusters.
-func (c *Calendar) StrikeDay() int { return c.DayIndex(2023, time.January, 19) }
+func (c *Calendar) StrikeDay() int { return c.strike }
 
 // AnalysisWindow returns the [first, last] day indices of the temporal
 // figures (2023-01-04 through 2023-01-24, Figs. 10-11).
-func (c *Calendar) AnalysisWindow() (first, last int) {
-	return c.DayIndex(2023, time.January, 4), c.DayIndex(2023, time.January, 24)
-}
+func (c *Calendar) AnalysisWindow() (first, last int) { return c.first, c.last }
 
 // Template is a weekly activity envelope: 168 non-negative hourly weights,
 // hour 0 = Monday 00:00. Values are relative intensities, not absolute
