@@ -68,7 +68,8 @@ perf-pairs:
 	./scripts/perf_pairs.sh $(REF) $(WORKLOAD) $(N)
 
 # Every fuzz target for a short fixed slice each — the CI-sized sweep of
-# the wire-format, CSV, and HTTP-body parsers.
+# the wire-format, CSV, and HTTP-body parsers, and of the forest's warm
+# regrowth against a cold training.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzReaderNeverPanics -fuzztime $(FUZZTIME) ./internal/probe
@@ -82,3 +83,4 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzClassifyFloat -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzRouterIngest -fuzztime $(FUZZTIME) ./internal/shard
 	$(GO) test -run '^$$' -fuzz FuzzRouterPlan -fuzztime $(FUZZTIME) ./internal/shard
+	$(GO) test -run '^$$' -fuzz FuzzRetrainMatchesTrain -fuzztime $(FUZZTIME) ./internal/forest

@@ -63,6 +63,12 @@ type Result struct {
 	// trace holds the per-stage execution records of the staged engine.
 	trace *obs.Trace
 
+	// forestRecord is the split record of a warm refresh's surrogate
+	// training, which the next warm refresh replays (see
+	// forest.RetrainContext); nil on a cold result. It is not part of the
+	// served model, and Slim drops it.
+	forestRecord *forest.Record
+
 	// mu guards the lazily built caches below.
 	mu sync.Mutex
 	// dists is the condensed Euclidean pairwise distance matrix over the
@@ -156,9 +162,10 @@ func (r *Result) Trace() *obs.Trace {
 // Slim returns a fresh Result holding only what per-revision audits read:
 // Config, K, Labels, LabelAlignment, SurrogateAccuracy, OutdoorLabels,
 // OutdoorShare, Forecasts and the stage trace. The dataset (and with it
-// the N × M traffic matrix), surrogate forest, RSCA matrix, linkage,
-// selection sweep, contingency table and the lazily built caches are left
-// behind, so a slim copy costs the label vectors plus the forecast set.
+// the N × M traffic matrix), surrogate forest and its split record, RSCA
+// matrix, linkage, selection sweep, contingency table and the lazily
+// built caches are left behind, so a slim copy costs the label vectors
+// plus the forecast set.
 // Trace and the outdoor verdicts still work on it; RefitForecasts, which
 // needs the traffic, returns an error. r is not modified; anyone holding
 // r keeps the full result.

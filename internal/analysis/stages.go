@@ -62,6 +62,18 @@ type ModelArtifacts struct {
 	// by the cold graph's "outdoor" stage (nil after a warm refresh).
 	OutdoorLabels []int
 	OutdoorShare  []float64
+
+	// regrow is set on a warm refresh only: the forest stage then retrains
+	// from the previous revision's split record. The cold graph leaves it
+	// nil and records nothing.
+	regrow *regrow
+}
+
+// regrow carries a warm forest stage's split records: prev, the previous
+// revision's (nil when that revision was cold), and next, the one this
+// training returns.
+type regrow struct {
+	prev, next *forest.Record
 }
 
 // AddRSCAStage registers the "rsca" stage: the Eq. 1/2 feature transform
@@ -148,16 +160,27 @@ func (c *ClusterArtifacts) cutAndAlign(ds *synth.Dataset) error {
 // AddModelStages registers the model sub-graph: "forest" (the Section 5.1.2
 // surrogate on the cluster labels) and "contingency" (Section 5.2
 // environment association). labelsDep names the stage that fills clus
-// ("labels" on the cold path, "assign" on the warm path). The Section 5.3
-// outdoor classification is not part of it: the cold graph adds its own
+// ("labels" on the cold path, "assign" on the warm path). On a warm
+// refresh (out.regrow set) the forest stage calls forest.RetrainContext,
+// which replays the previous revision's split record where the inputs
+// did not change and returns the forest a cold training would, bit for
+// bit, plus the record the next refresh replays. The Section 5.3 outdoor
+// classification is not part of it: the cold graph adds its own
 // "outdoor" stage, and a warm refresh leaves it to Result.ClassifyOutdoor.
 func AddModelStages(g *pipe.Graph, ds *synth.Dataset, cfg Config, feats *FeatureArtifacts, clus *ClusterArtifacts, out *ModelArtifacts, labelsDep string) {
 	g.Add("forest", []string{labelsDep}, func(ctx context.Context) error {
-		f, err := forest.TrainContext(ctx, feats.RSCA, clus.Labels, clus.K, forest.Config{
+		fcfg := forest.Config{
 			Trees:    cfg.ForestTrees,
 			MaxDepth: cfg.ForestDepth,
 			Seed:     cfg.Seed + 1,
-		})
+		}
+		var f *forest.Forest
+		var err error
+		if out.regrow != nil {
+			f, out.regrow.next, err = forest.RetrainContext(ctx, out.regrow.prev, feats.RSCA, clus.Labels, clus.K, fcfg)
+		} else {
+			f, err = forest.TrainContext(ctx, feats.RSCA, clus.Labels, clus.K, fcfg)
+		}
 		if err != nil {
 			return err
 		}

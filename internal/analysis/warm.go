@@ -33,6 +33,11 @@ type RefreshStats struct {
 	// Escalated is true when drift exceeded the threshold and the refresh
 	// fell back to a full re-linkage.
 	Escalated bool
+	// ForestScanned and ForestReused are the row-feature units the
+	// surrogate retrain scanned and replayed from the previous revision's
+	// split record (see forest.Record.Work); the first refresh after a
+	// cold result replays nothing.
+	ForestScanned, ForestReused int64
 }
 
 // WarmRefresh is WarmRefreshContext without cancellation.
@@ -47,11 +52,13 @@ func WarmRefresh(prev *Result, traffic *mat.Dense, dirty []int, wcfg WarmConfig)
 // and moves only the rows listed in dirty to their nearest Ward centroid
 // (escalating to a full re-linkage plus archetype re-alignment when the
 // drift statistic exceeds wcfg.DriftThreshold), the model stages —
-// surrogate forest retrain on the shared worker pool and environment
-// contingency — and the forecast stage, which retrains the busy-hour
-// forecasters on the updated traffic rows so every revision serves
-// forecasts matching its own ingest state. The model-selection sweep and
-// temporal-cache warmup are cold-only and skipped.
+// surrogate forest retrain on the shared worker pool, regrown from prev's
+// split record so only the (node, feature) scans whose inputs changed run
+// again, and environment contingency — and the forecast stage, which
+// retrains the busy-hour forecasters on the updated traffic rows so every
+// revision serves forecasts matching its own ingest state. The
+// model-selection sweep and temporal-cache warmup are cold-only and
+// skipped.
 //
 // The outdoor classification is not run: the result comes back with nil
 // OutdoorLabels and OutdoorShare, since no served answer depends on them
@@ -63,8 +70,11 @@ func WarmRefresh(prev *Result, traffic *mat.Dense, dirty []int, wcfg WarmConfig)
 // result is bit-identical to the cold pipeline that produced prev —
 // labels, forest, outdoor verdicts once ClassifyOutdoor has run, and hence
 // the serve-side revision fingerprint (see the parity fixtures in
-// warm_test.go and serve/refresh_test.go). traffic must have one row per
-// indoor antenna of prev's dataset.
+// warm_test.go and serve/refresh_test.go). With any traffic, the
+// surrogate is bit-identical to a cold forest.TrainContext on the
+// refreshed RSCA and labels; the split record only decides how much of it
+// is replayed. traffic must have one row per indoor antenna of prev's
+// dataset.
 func WarmRefreshContext(ctx context.Context, prev *Result, traffic *mat.Dense, dirty []int, wcfg WarmConfig) (*Result, RefreshStats, error) {
 	var st RefreshStats
 	if prev == nil || prev.Surrogate == nil || len(prev.Labels) == 0 {
@@ -92,7 +102,7 @@ func WarmRefreshContext(ctx context.Context, prev *Result, traffic *mat.Dense, d
 	g := pipe.NewGraph()
 	feats := &FeatureArtifacts{}
 	clus := &ClusterArtifacts{}
-	model := &ModelArtifacts{}
+	model := &ModelArtifacts{regrow: &regrow{prev: prev.forestRecord}}
 	AddRSCAStage(g, nds.Traffic, prev.K, feats)
 
 	g.Add("assign", []string{"rsca"}, func(ctx context.Context) error {
@@ -123,5 +133,9 @@ func WarmRefreshContext(ctx context.Context, prev *Result, traffic *mat.Dense, d
 		return nil, st, err
 	}
 	res.publish(feats, clus, model, fc)
+	res.forestRecord = model.regrow.next
+	if rec := res.forestRecord; rec != nil {
+		st.ForestScanned, st.ForestReused = rec.Work()
+	}
 	return res, st, nil
 }

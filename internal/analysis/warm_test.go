@@ -4,7 +4,13 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
+
+	"repro/internal/forest"
+	"repro/internal/mat"
+	"repro/internal/pipe"
+	"repro/internal/rng"
 )
 
 // warmBase runs the cold pipeline once at a reduced scale; the warm tests
@@ -200,5 +206,115 @@ func TestWarmRefreshRejectsBadInput(t *testing.T) {
 	}
 	if _, _, err := WarmRefresh(cold, nil, nil, WarmConfig{}); err == nil {
 		t.Fatal("nil traffic must error")
+	}
+}
+
+// ingestDrift adds records of mb megabytes each to traffic, every record
+// landing on an (antenna, service) cell drawn in proportion to the cell's
+// traffic, as perfbench's ingest stream does, and returns the antennas it
+// touched.
+func ingestDrift(traffic *mat.Dense, r *rng.Source, records int, mb float64) []int {
+	cols := traffic.Cols()
+	cum := make([]float64, 0, traffic.Rows()*cols)
+	sum := 0.0
+	for i := 0; i < traffic.Rows(); i++ {
+		for _, v := range traffic.Row(i) {
+			sum += v
+			cum = append(cum, sum)
+		}
+	}
+	touched := make([]bool, traffic.Rows())
+	for k := 0; k < records; k++ {
+		c := sort.SearchFloat64s(cum, r.Float64()*sum)
+		traffic.Row(c / cols)[c%cols] += mb
+		touched[c/cols] = true
+	}
+	var dirty []int
+	for i, ok := range touched {
+		if ok {
+			dirty = append(dirty, i)
+		}
+	}
+	return dirty
+}
+
+// surrogateConfig is the forest configuration the pipeline trains res's
+// surrogate with.
+func surrogateConfig(res *Result) forest.Config {
+	return forest.Config{Trees: res.Config.ForestTrees, MaxDepth: res.Config.ForestDepth, Seed: res.Config.Seed + 1}
+}
+
+// TestRefreshChainRegrowsColdForest chains 30 warm refreshes, each over
+// one more ingest period's drift, and checks every refreshed surrogate
+// against a cold forest.TrainContext on that refresh's RSCA and labels:
+// regrowing from the previous revision's split record must change nothing
+// but the work. Only the first refresh, whose base is cold, replays
+// nothing.
+func TestRefreshChainRegrowsColdForest(t *testing.T) {
+	res := warmBase(t)
+	r := rng.New(11)
+	for i := 0; i < 30; i++ {
+		traffic := res.Dataset.Traffic.Clone()
+		dirty := ingestDrift(traffic, r, 2000, 0.0033)
+		warm, st, err := WarmRefresh(res, traffic, dirty, WarmConfig{DriftThreshold: DefaultDriftThreshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := forest.TrainContext(context.Background(), warm.RSCA, warm.Labels, warm.K, surrogateConfig(warm))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(warm.Surrogate, cold) {
+			t.Fatalf("refresh %d: the regrown surrogate diverges from a cold training", i)
+		}
+		if warm.SurrogateAccuracy != cold.TrainAccuracy {
+			t.Fatalf("refresh %d: surrogate accuracy %v, cold %v", i, warm.SurrogateAccuracy, cold.TrainAccuracy)
+		}
+		if (i == 0) != (st.ForestReused == 0) || st.ForestScanned == 0 {
+			t.Fatalf("refresh %d: scanned %d, replayed %d units", i, st.ForestScanned, st.ForestReused)
+		}
+		res = warm
+	}
+}
+
+// TestWarmRefreshForestWork: the refresh's forest work counters do not
+// depend on the pool width, and a drift-0 refresh on a warm base replays
+// every scan.
+func TestWarmRefreshForestWork(t *testing.T) {
+	cold := warmBase(t)
+	traffic := cold.Dataset.Traffic.Clone()
+	dirty := ingestDrift(traffic, rng.New(3), 2000, 0.0033)
+	base, first, err := WarmRefresh(cold, traffic, dirty, WarmConfig{DriftThreshold: DefaultDriftThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	traffic = base.Dataset.Traffic.Clone()
+	dirty = ingestDrift(traffic, rng.New(4), 2000, 0.0033)
+	var stats []RefreshStats
+	for _, width := range []int{1, 2} {
+		ctx := pipe.WithPool(context.Background(), pipe.NewPool(width))
+		_, st, err := WarmRefreshContext(ctx, base, traffic, dirty, WarmConfig{DriftThreshold: DefaultDriftThreshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats = append(stats, st)
+	}
+	if stats[0] != stats[1] {
+		t.Fatalf("refresh stats %+v on one worker, %+v on two", stats[0], stats[1])
+	}
+	if stats[0].ForestScanned == 0 || stats[0].ForestReused == 0 {
+		t.Fatalf("a drifted refresh must both scan and replay: %+v", stats[0])
+	}
+
+	_, st, err := WarmRefresh(base, base.Dataset.Traffic.Clone(), nil, WarmConfig{DriftThreshold: DefaultDriftThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The base refresh regrew in full from a cold result, so it scanned
+	// every unit its forest has.
+	if st.ForestScanned != 0 || st.ForestReused != first.ForestScanned {
+		t.Fatalf("drift-0 refresh scanned %d and replayed %d units, want 0 and %d",
+			st.ForestScanned, st.ForestReused, first.ForestScanned)
 	}
 }

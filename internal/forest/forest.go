@@ -64,6 +64,14 @@ func Train(x *mat.Dense, y []int, classes int, cfg Config) *Forest {
 // on the shared worker pool and stops claiming new trees once ctx is
 // cancelled, returning ctx.Err() and no forest.
 func TrainContext(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config) (*Forest, error) {
+	f, _, err := train(ctx, x, y, classes, cfg, nil, false)
+	return f, err
+}
+
+// train fits the forest of TrainContext. With record set it also returns
+// the training's split record (nil where the shape cannot be recorded),
+// and each tree replays its part of prev where prev allows.
+func train(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, prev *Record, record bool) (*Forest, *Record, error) {
 	n := x.Rows()
 	if len(y) != n {
 		//lint:allow nopanic paired features and labels derive from one training set
@@ -76,7 +84,7 @@ func TrainContext(ctx context.Context, x *mat.Dense, y []int, classes int, cfg C
 		}
 	}
 	if classes > maxClasses {
-		return nil, fmt.Errorf("forest: %d classes, the split search supports at most %d", classes, maxClasses)
+		return nil, nil, fmt.Errorf("forest: %d classes, the split search supports at most %d", classes, maxClasses)
 	}
 	cfg = cfg.withDefaults(x.Cols())
 
@@ -86,18 +94,51 @@ func TrainContext(ctx context.Context, x *mat.Dense, y []int, classes int, cfg C
 	// seed-compatible.
 	binned, err := BinFeaturesContext(ctx, x)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	treeCfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Features: cfg.Features}
-	return bag(ctx, x, y, classes, cfg, func(idx []int, r *rng.Source) *Tree {
-		return buildTreeBinned(x, binned, y, idx, classes, treeCfg, r)
+	record = record && n <= maxRecordRows && x.Cols() <= maxRecordFeatures
+	var rec *Record
+	var changed []rowChange
+	if record {
+		rec = &Record{cfg: cfg, classes: classes, codes: binned.codes, trees: make([]treeRecord, cfg.Trees)}
+		changed = changesSince(prev, cfg, classes, binned, y)
+	}
+	work := make([][2]int, cfg.Trees)
+	f, err := bag(ctx, x, y, classes, cfg, func(t int, idx []int, r *rng.Source) *Tree {
+		g := &binGrow{x: x, bins: binned, y: y, classes: classes, cfg: treeCfg, r: r, changed: changed}
+		if changed != nil {
+			g.prev = &prev.trees[t]
+		}
+		tree, tr := g.build(idx, record)
+		if record {
+			rec.trees[t] = tr
+			work[t] = [2]int{g.scanned, g.reused}
+		}
+		return tree
 	})
+	if err != nil || !record {
+		return f, nil, err
+	}
+	for _, w := range work {
+		rec.scanned += int64(w[0])
+		rec.reused += int64(w[1])
+	}
+	rec.exact = make([]bool, x.Cols())
+	for j := range rec.exact {
+		rec.exact[j] = binned.feats[j].Exact
+	}
+	rec.labels = make([]uint8, n)
+	for i, c := range y {
+		rec.labels[i] = uint8(c)
+	}
+	return f, rec, nil
 }
 
 // bag trains cfg.Trees trees with grow, each on a bootstrap sample drawn
 // from its own pre-split seed, and scores the ensemble out of bag and on
-// its training rows.
-func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, grow func(idx []int, r *rng.Source) *Tree) (*Forest, error) {
+// its training rows. grow receives the tree's index.
+func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, grow func(t int, idx []int, r *rng.Source) *Tree) (*Forest, error) {
 	n := x.Rows()
 	root := rng.New(cfg.Seed)
 	f := &Forest{Classes: classes}
@@ -121,7 +162,7 @@ func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, gr
 			idx[i] = s
 			inBag[s] = true
 		}
-		f.Trees[t] = grow(idx, r)
+		f.Trees[t] = grow(t, idx, r)
 		inBags[t] = inBag
 	})
 	if err != nil {

@@ -133,3 +133,26 @@ func BenchmarkTrainContext(b *testing.B) {
 		benchForest = f
 	}
 }
+
+// BenchmarkRetrainContext retrains the same surrogate after one ingest
+// period's traffic-proportional drift (10,500 records of 3.3 kB), regrowing
+// from the undrifted surrogate's split record: the warm refresh's forest
+// stage at the perfbench shape.
+func BenchmarkRetrainContext(b *testing.B) {
+	res := scaleFixture(b)
+	cfg := surrogateConfig(res)
+	ctx := context.Background()
+	_, prev, err := forest.RetrainContext(ctx, nil, res.RSCA, res.Labels, res.K, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := drifted(res, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, _, err := forest.RetrainContext(ctx, prev, x, res.Labels, res.K, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchForest = f
+	}
+}

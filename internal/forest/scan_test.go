@@ -129,7 +129,7 @@ func trainWindow(x *mat.Dense, y []int, classes int, cfg Config) *Forest {
 	cfg = cfg.withDefaults(x.Cols())
 	bins := BinFeatures(x)
 	treeCfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Features: cfg.Features}
-	f, _ := bag(context.Background(), x, y, classes, cfg, func(idx []int, r *rng.Source) *Tree {
+	f, _ := bag(context.Background(), x, y, classes, cfg, func(_ int, idx []int, r *rng.Source) *Tree {
 		return buildTreeWindow(x, bins, y, idx, classes, treeCfg, r)
 	})
 	return f
@@ -296,7 +296,7 @@ func weightedSplit(t *testing.T, x *mat.Dense, bins *Binning, y []int, classes i
 	s := getScratch(x.Cols(), classes, x.Rows())
 	defer putScratch(s)
 	g := &binGrow{x: x, bins: bins, y: y, classes: classes, cfg: cfg, r: rng.New(seed), s: s, noPrune: noPrune}
-	f, th, ok := g.bestSplit(s.weigh(idx), nodeCounts(y, idx, classes))
+	f, th, ok := g.bestSplit(s.weigh(idx), nodeCounts(y, idx, classes), -1)
 	// The fill's arenas must be all zero again for the next search.
 	for k, h := range s.hist {
 		if h != 0 {
@@ -565,7 +565,7 @@ func TestBestSplitAllocations(t *testing.T) {
 	defer putScratch(s)
 	rows := s.weigh(idx)
 	g := &binGrow{x: x, bins: bins, y: y, classes: classes, cfg: TreeConfig{Features: 3}, r: rng.New(1), s: s}
-	if a := testing.AllocsPerRun(50, func() { g.bestSplit(rows, counts) }); a != 0 {
+	if a := testing.AllocsPerRun(50, func() { g.bestSplit(rows, counts, -1) }); a != 0 {
 		t.Fatalf("bestSplit allocates %v times per call, want 0", a)
 	}
 }

@@ -5,11 +5,13 @@ import "sync"
 // growScratch holds the arenas the histogram tree grower reuses across
 // every node of a build: the feature permutation, the per-bin class-count
 // histogram and class masks, the per-row bootstrap multiplicities, the
-// cumulative left/right counts of the boundary scan, and the row arena
-// that siblings partition in place instead of allocating fresh slices per
-// node. One scratch belongs to one goroutine for the duration of a tree
-// build (trees fan out over the shared internal/pipe pool, so this is
-// per-worker state); between builds it is recycled through a sync.Pool.
+// cumulative left/right counts of the boundary scan, the row arena that
+// siblings partition in place instead of allocating fresh slices per
+// node, and, on a retrain, the row stamps of the replay's row-set check
+// and the buffers a recording build fills. One scratch belongs to one
+// goroutine for the duration of a tree build (trees fan out over the
+// shared internal/pipe pool, so this is per-worker state); between builds
+// it is recycled through a sync.Pool.
 // Every field is fully overwritten or zeroed before use, so recycling
 // cannot leak state into results.
 type growScratch struct {
@@ -22,6 +24,9 @@ type growScratch struct {
 	right  []int           // class counts right of the candidate boundary
 	idx    []int           // the tree's distinct rows, partitioned in place
 	aux    []int           // right-half spill buffer of the stable partition
+	stamp  []uint32        // per-row stamp of the replay's row-set check
+	epoch  uint32          // the stamp of the latest row-set check
+	rec    treeRecord      // a recording build's buffers, compacted per tree
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(growScratch) }}
@@ -46,7 +51,21 @@ func getScratch(nFeatures, classes, rows int) *growScratch {
 	s.right = ensureLen(s.right, classes)
 	s.idx = ensureLen(s.idx, rows)
 	s.aux = ensureLen(s.aux, rows)
+	if cap(s.stamp) < rows {
+		s.stamp, s.epoch = make([]uint32, rows), 0
+	}
+	s.stamp = s.stamp[:rows]
 	return s
+}
+
+// nextStamp returns the stamp array and a stamp no row carries yet.
+func (s *growScratch) nextStamp() ([]uint32, uint32) {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	return s.stamp, s.epoch
 }
 
 func putScratch(s *growScratch) { scratchPool.Put(s) }

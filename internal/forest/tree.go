@@ -81,14 +81,38 @@ func BuildTree(x *mat.Dense, y []int, idx []int, classes int, cfg TreeConfig, r 
 // check sums weights, which gives the integers the duplicate-index
 // sample would, while the fill and the partition visit each row once.
 func buildTreeBinned(x *mat.Dense, bins *Binning, y []int, idx []int, classes int, cfg TreeConfig, r *rng.Source) *Tree {
-	if cfg.MinLeaf < 1 {
-		cfg.MinLeaf = 1
+	g := &binGrow{x: x, bins: bins, y: y, classes: classes, cfg: cfg, r: r}
+	tree, _ := g.build(idx, false)
+	return tree
+}
+
+// build grows g's tree over the bootstrap sample idx on a pooled scratch.
+// With g.prev set, each node that matches a searched node of the previous
+// record replays the scans whose inputs did not change (see bestSplit).
+// With record set, it also returns the new tree's record.
+func (g *binGrow) build(idx []int, record bool) (*Tree, treeRecord) {
+	if g.cfg.MinLeaf < 1 {
+		g.cfg.MinLeaf = 1
 	}
-	s := getScratch(x.Cols(), classes, x.Rows())
+	s := getScratch(g.x.Cols(), g.classes, g.x.Rows())
 	defer putScratch(s)
-	g := &binGrow{x: x, bins: bins, y: y, classes: classes, cfg: cfg, r: r, s: s}
-	g.grow(s.weigh(idx), 0)
-	return &Tree{Nodes: g.nodes, Probs: g.probs, Classes: classes}
+	g.s = s
+	if record {
+		s.rec.reset()
+		g.rec = &s.rec
+	}
+	root := int32(-1)
+	if g.prev != nil && len(g.prev.nodes) > 0 {
+		root = 0 // a record lists its searched nodes in pre-order
+	}
+	rows := s.weigh(idx)
+	g.grow(rows, 0, 0, root)
+	var rec treeRecord
+	if record {
+		rec = s.rec.compact(rows)
+		g.rec = nil
+	}
+	return &Tree{Nodes: g.nodes, Probs: g.probs, Classes: g.classes}, rec
 }
 
 // binGrow carries shared state during histogram-binned tree construction.
@@ -104,13 +128,27 @@ type binGrow struct {
 	s       *growScratch
 	// noPrune scores every boundary in full; only the parity tests set it.
 	noPrune bool
+
+	// prev is the previous training's record of this tree and changed
+	// its per-row change masks (see Record); both are nil on a cold
+	// build. rec, when set, collects this build's record.
+	prev    *treeRecord
+	changed []rowChange
+	rec     *treeRecord
+	// scanned and reused count the row-feature units of the candidate
+	// scans this build ran and replayed: a node's distinct rows per
+	// candidate feature.
+	scanned, reused int
 }
 
-// grow builds the subtree over idx — distinct rows weighted by s.mult, a
-// slice of the scratch row arena that sibling nodes partition in place —
-// and returns its arena index. The scratch counts buffer is done being
-// read before either child recurses, so one buffer serves every depth.
-func (g *binGrow) grow(idx []int, depth int) int {
+// grow builds the subtree over idx — distinct rows weighted by s.mult, the
+// slice of the scratch row arena that starts at lo, which sibling nodes
+// partition in place — and returns its arena index and, when recording,
+// the record index of its searched node (-1 if it did not search).
+// prevNode is the record index of the previous tree's node on the same
+// path (-1 if none). The scratch counts buffer is done being read before
+// either child recurses, so one buffer serves every depth.
+func (g *binGrow) grow(idx []int, lo, depth int, prevNode int32) (int, int32) {
 	counts := g.s.counts[:g.classes]
 	clear(counts)
 	mult := g.s.mult
@@ -122,11 +160,15 @@ func (g *binGrow) grow(idx []int, depth int) int {
 	nodeIdx := len(g.nodes)
 	g.nodes = append(g.nodes, Node{Feature: -1, Samples: int32(total)})
 
+	rec := int32(-1)
 	stop := pure(counts) ||
 		total < 2*g.cfg.MinLeaf ||
 		(g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth)
 	if !stop {
-		feature, threshold, ok := g.bestSplit(idx, counts)
+		if g.rec != nil {
+			rec = g.rec.addNode(lo, len(idx))
+		}
+		feature, threshold, ok := g.bestSplit(idx, counts, prevNode)
 		if ok {
 			// Stable in-place partition: left-bound rows compact to the
 			// front of idx, right-bound rows spill to the aux arena and
@@ -147,18 +189,25 @@ func (g *binGrow) grow(idx []int, depth int) int {
 			}
 			copy(idx[nl:], aux[:na])
 			if wl >= g.cfg.MinLeaf && total-wl >= g.cfg.MinLeaf {
-				l := g.grow(idx[:nl], depth+1)
-				r := g.grow(idx[nl:], depth+1)
+				pl, pr := int32(-1), int32(-1)
+				if prevNode >= 0 {
+					pl, pr = g.prev.nodes[prevNode].left, g.prev.nodes[prevNode].right
+				}
+				l, rl := g.grow(idx[:nl], lo, depth+1, pl)
+				r, rr := g.grow(idx[nl:], lo+nl, depth+1, pr)
+				if rec >= 0 {
+					g.rec.nodes[rec].left, g.rec.nodes[rec].right = rl, rr
+				}
 				g.nodes[nodeIdx].Feature = int32(feature)
 				g.nodes[nodeIdx].Threshold = threshold
 				g.nodes[nodeIdx].Left = int32(l)
 				g.nodes[nodeIdx].Right = int32(r)
-				return nodeIdx
+				return nodeIdx, rec
 			}
 		}
 	}
 	g.probs = appendLeaf(g.nodes, nodeIdx, g.probs, counts, total)
-	return nodeIdx
+	return nodeIdx, rec
 }
 
 // appendLeaf makes node i a leaf: it appends the class distribution of
@@ -224,7 +273,23 @@ func pruneBound(bestGain, parentGini float64, total int) float64 {
 // nL·nR·total <= total³ and nL·nR <= total², and pruneSafe admits only
 // nodes with 2·total³ < 2^53, where both convert to float64 without
 // rounding (and no int64 product overflows).
-func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, threshold float64, ok bool) {
+//
+// Replay. prevNode, when not -1, is the previous record's node on the same
+// path. If that node held exactly these rows and drew the same candidates
+// in the same order, and no row here changed label (reusable), a
+// candidate whose bin codes no row here changed is not scanned: its scan
+// would fill the same histogram and score the same boundaries bit for
+// bit. A scan's result depends on the entry best gain B only through
+// whether its best boundary beats B: when it does, the running best
+// becomes that boundary's (gain, bins) — the first maximum, whatever B
+// was, since the prune skips no boundary that could be it — and when it
+// does not, nothing changes. So a recorded improvement is replayed as an
+// improvement exactly when its gain beats the new running best, and as no
+// change otherwise. A recorded non-improvement only proves the feature's
+// gains are at most the old entry best, so it is replayed only when the
+// new entry best is at least that. The threshold is always derived from
+// the current binning, so a replay returns what the full scan would.
+func (g *binGrow) bestSplit(idx []int, parentCounts []int, prevNode int32) (feature int, threshold float64, ok bool) {
 	nFeatures := g.x.Cols()
 	candidates := nFeatures
 	if g.cfg.Features > 0 && g.cfg.Features < nFeatures {
@@ -247,6 +312,17 @@ func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, thresho
 	qmax := pruneBound(bestGain, parentGini, total)
 	lo, hi := 0, 0 // the best boundary's bins
 
+	// The previous scan of this node, when it may be replayed: its
+	// candidates, the features whose codes changed under its rows, the
+	// index of its next recorded improvement and its running best gain
+	// entering the candidate.
+	var old []uint8
+	var changed rowChange
+	next, oldBest := 0, 1e-12
+	if prevNode >= 0 {
+		old, changed, next = g.reusable(idx, perm, prevNode)
+	}
+
 	leftCounts := g.s.left[:g.classes]
 	rightCounts := g.s.right[:g.classes]
 
@@ -262,7 +338,34 @@ func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, thresho
 	y := g.y
 	var occ [MaxBins / 64]uint64
 
-	for _, f := range perm {
+	for j, f := range perm {
+		if old != nil {
+			fresh := !changed.has(f)
+			if old[j]&improvedBit != 0 {
+				gain, bins := g.prev.gains[next], g.prev.bins[2*next:2*next+2]
+				next++
+				oldBest = gain
+				if fresh {
+					g.reused += len(idx)
+					improved := gain > bestGain
+					if improved {
+						bestGain = gain
+						qmax = pruneBound(bestGain, parentGini, total)
+						feature, lo, hi = f, int(bins[0]), int(bins[1])
+						ok = true
+					}
+					g.rec.addCandidate(f, improved, bestGain, lo, hi)
+					continue
+				}
+			} else if fresh && bestGain >= oldBest {
+				g.reused += len(idx)
+				g.rec.addCandidate(f, false, 0, 0, 0)
+				continue
+			}
+		}
+		g.scanned += len(idx)
+		entry := bestGain // every improvement raises it strictly
+
 		col := g.bins.codes.Col(f)
 		for _, i := range idx {
 			b, c := col[i], y[i]
@@ -322,11 +425,48 @@ func (g *binGrow) bestSplit(idx []int, parentCounts []int) (feature int, thresho
 				prev = b
 			}
 		}
+		g.rec.addCandidate(f, bestGain > entry, bestGain, lo, hi)
 	}
 	if !ok {
 		return 0, 0, false
 	}
 	return feature, g.bins.splitThreshold(feature, lo, hi), true
+}
+
+// reusable returns the candidate record of previous node p, its next
+// improvement's index and the features whose bin codes changed under idx
+// when the node may replay p's scans: p held exactly the rows idx, drew
+// the candidates perm in order, and no row of idx changed label. It
+// returns a nil record otherwise. The row-set check stamps idx into the
+// scratch and looks up each of p's rows, O(len(idx)).
+func (g *binGrow) reusable(idx, perm []int, p int32) (old []uint8, changed rowChange, next int) {
+	pn := &g.prev.nodes[p]
+	c := len(perm)
+	old = g.prev.cands[int(p)*c : int(p)*c+c]
+	if int(pn.n) != len(idx) {
+		return nil, changed, 0
+	}
+	for j, f := range perm {
+		if int(old[j]&^improvedBit) != f {
+			return nil, changed, 0
+		}
+	}
+	stamp, e := g.s.nextStamp()
+	for _, i := range idx {
+		stamp[i] = e
+		m := &g.changed[i]
+		changed[0] |= m[0]
+		changed[1] |= m[1]
+	}
+	for _, i := range g.prev.rows[pn.lo : int(pn.lo)+int(pn.n)] {
+		if stamp[i] != e {
+			return nil, changed, 0
+		}
+	}
+	if changed.has(labelBit) {
+		return nil, changed, 0
+	}
+	return old, changed, int(pn.gain)
 }
 
 func gini(counts []int, total int) float64 {

@@ -89,6 +89,8 @@ var Catalog = []MetricDef{
 	{Name: "serve.refresh.audit.ms", Kind: KindHistogram, Instance: true, Help: "outdoor-verdict audit of a published revision, run after RefreshOnce returns"},
 	{Name: "serve.refresh.errors", Kind: KindCounter, Instance: true, Help: "refresh attempts and revision audits that failed"},
 	{Name: "serve.refresh.escalations", Kind: KindCounter, Instance: true, Help: "warm refreshes escalated to full re-linkage"},
+	{Name: "serve.refresh.forest.reused", Kind: KindCounter, Instance: true, Help: "row-feature units of split scans a refresh's forest retrain replayed from the previous revision's split record"},
+	{Name: "serve.refresh.forest.scanned", Kind: KindCounter, Instance: true, Help: "row-feature units of split scans a refresh's forest retrain ran"},
 	{Name: "serve.refresh.latency.ms", Kind: KindHistogram, Instance: true, Help: "refresh publish latency: RefreshOnce from fold to fan-out, audit excluded"},
 	{Name: "serve.refresh.reassigned", Kind: KindCounter, Instance: true, Help: "antennas reassigned across refreshes"},
 	{Name: "serve.refresh.runs", Kind: KindCounter, Instance: true, Help: "completed refresh runs"},

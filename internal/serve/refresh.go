@@ -406,6 +406,8 @@ func (r *Refresher) RefreshOnce(ctx context.Context) (RefreshOutcome, error) {
 	r.cur = nil
 	reg.Add("serve.refresh.runs", 1)
 	reg.Add("serve.refresh.reassigned", int64(st.Reassigned))
+	reg.Add("serve.refresh.forest.scanned", st.ForestScanned)
+	reg.Add("serve.refresh.forest.reused", st.ForestReused)
 	if swapped {
 		r.info.Swaps++
 	}

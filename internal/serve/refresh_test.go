@@ -327,10 +327,10 @@ func TestSupersededRevisionKeepsAuditSurface(t *testing.T) {
 // TestRefreshRegistryBoundedInBytes: the registry is bounded in entries
 // and, through the slim shape, in bytes. After History+3 refreshes it
 // holds exactly History revisions, no superseded entry reaches any
-// revision's traffic matrix (the current one reaches only its own), and
-// the bytes the registry retains beyond the current revision's full
-// result — which the next refresh starts from whatever the bound — stay
-// within History slim-entry bounds.
+// revision's traffic matrix or forest split record (the current one
+// reaches only its own), and the bytes the registry retains beyond the
+// current revision's full result — which the next refresh starts from
+// whatever the bound — stay within History slim-entry bounds.
 func TestRefreshRegistryBoundedInBytes(t *testing.T) {
 	res := servedShapeResult(t)
 	snap, err := NewModelSnapshot(res)
@@ -348,6 +348,9 @@ func TestRefreshRegistryBoundedInBytes(t *testing.T) {
 	// Every revision's traffic matrix. The test holds each one, so no
 	// address below can be freed and reused by a later allocation.
 	traffic := map[uint64]*mat.Dense{snap.Revision: res.Dataset.Traffic}
+	// Every refreshed revision's forest split record (the cold base has
+	// none), held like the traffic matrices.
+	records := map[uint64]reflect.Value{}
 	var cur uint64
 	for i := 0; i < history+3; i++ {
 		cur = swapOnce(t, s, ref, 100*(i+1))
@@ -356,6 +359,10 @@ func TestRefreshRegistryBoundedInBytes(t *testing.T) {
 			t.Fatalf("current revision %016x must resolve to its full result", cur)
 		}
 		traffic[cur] = full.Dataset.Traffic
+		records[cur] = forestRecordOf(full)
+		if records[cur].IsNil() {
+			t.Fatalf("refreshed revision %016x carries no forest split record", cur)
+		}
 	}
 
 	ref.mu.Lock()
@@ -380,6 +387,14 @@ func TestRefreshRegistryBoundedInBytes(t *testing.T) {
 				t.Fatalf("entry %016x reaches revision %016x's traffic matrix", rev, owner)
 			}
 		}
+		for owner, rec := range records {
+			if rev == cur && owner == cur {
+				continue // the next refresh replays it
+			}
+			if reach[rec.Pointer()] {
+				t.Fatalf("entry %016x reaches revision %016x's forest split record", rev, owner)
+			}
+		}
 	}
 
 	shared := map[uintptr]bool{}
@@ -399,6 +414,12 @@ func TestRefreshRegistryBoundedInBytes(t *testing.T) {
 	if total > limit {
 		t.Fatalf("registry retains %d B beyond the current result, above History × slim bound = %d B", total, limit)
 	}
+}
+
+// forestRecordOf returns res's forest split record pointer (nil if it has
+// none), read from its unexported field.
+func forestRecordOf(res *analysis.Result) reflect.Value {
+	return reflect.ValueOf(res).Elem().FieldByName("forestRecord")
 }
 
 // slimEntryOverhead bounds what a slim entry holds besides its label
