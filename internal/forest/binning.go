@@ -1,8 +1,9 @@
 package forest
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/mat"
 	"repro/internal/pipe"
@@ -49,12 +50,27 @@ func BinFeatures(x *mat.Dense) *Binning {
 // are binned in parallel on the pool carried by ctx, each column writing a
 // disjoint slice of the column-major code matrix.
 func BinFeaturesContext(ctx context.Context, x *mat.Dense) (*Binning, error) {
+	return binFeatures(ctx, x, nil)
+}
+
+// binFeatures is BinFeaturesContext seeded with the bin codes of an
+// earlier binning: when seed has x's shape, each column's sort starts from
+// the row order seed's codes give (see seededOrder). The binning is the
+// one BinFeaturesContext returns, whatever the seed.
+func binFeatures(ctx context.Context, x *mat.Dense, seed *mat.BinMatrix) (*Binning, error) {
+	if seed != nil && (seed.Rows() != x.Rows() || seed.Cols() != x.Cols()) {
+		seed = nil
+	}
 	b := &Binning{
 		codes: mat.NewBinMatrix(x.Rows(), x.Cols()),
 		feats: make([]FeatureBins, x.Cols()),
 	}
 	err := pipe.FromContext(ctx).ForEach(ctx, x.Cols(), func(j int) {
-		b.feats[j] = binColumn(x, j, b.codes.Col(j))
+		var was []uint8
+		if seed != nil {
+			was = seed.Col(j)
+		}
+		b.feats[j] = binColumn(x, j, was, b.codes.Col(j))
 	})
 	if err != nil {
 		return nil, err
@@ -79,25 +95,70 @@ func (b *Binning) splitThreshold(f, a, bb int) float64 {
 	return (fb.Hi[a] + fb.Lo[bb]) / 2
 }
 
+// valRow is one entry of a sorted column: a value and its row.
+type valRow struct {
+	v   float64
+	row int32
+}
+
+// seedShifts bounds a seeded sort's insertion work, in shifts per row.
+// Rows whose quantile bin holds a handful of rows cost about one shift
+// each; a seed from an unrelated matrix costs O(n²) and gives up here.
+const seedShifts = 8
+
+// seededOrder fills ps with the rows of column j of x sorted by value,
+// starting from the order of their codes in was, the column's codes in an
+// earlier binning: a counting sort by old code, then an insertion sort by
+// value. It reports false, with ps some permutation of the rows, once the
+// insertion sort has shifted more than seedShifts entries per row.
+func seededOrder(x *mat.Dense, j int, was []uint8, ps []valRow) bool {
+	var start [MaxBins + 1]int
+	for _, c := range was {
+		start[int(c)+1]++
+	}
+	for b := 1; b <= MaxBins; b++ {
+		start[b] += start[b-1]
+	}
+	for i, c := range was {
+		ps[start[c]] = valRow{x.At(i, j), int32(i)}
+		start[c]++
+	}
+	budget := seedShifts * len(ps)
+	for k := 1; k < len(ps); k++ {
+		p := ps[k]
+		m := k
+		for ; m > 0 && cmp.Less(p.v, ps[m-1].v); m-- {
+			ps[m] = ps[m-1]
+		}
+		ps[m] = p
+		if budget -= k - m; budget < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // binColumn discretizes column j of x, writing one code per row into
 // codes. Bins are delimited by "cut" values — the smallest raw value of
 // each bin after the first. With ≤ MaxBins distinct values every distinct
 // value becomes a cut (exact mode); above that, cuts are drawn at equal-
 // frequency quantiles of the sorted column, never splitting a run of
-// equal values across bins.
-func binColumn(x *mat.Dense, j int, codes []uint8) FeatureBins {
+// equal values across bins. was, when not nil, holds the column's codes
+// in an earlier binning and seeds the sort; a seed too far from the new
+// order falls back to the full sort.
+func binColumn(x *mat.Dense, j int, was []uint8, codes []uint8) FeatureBins {
 	n := x.Rows()
-	vals := make([]float64, n)
-	for i := 0; i < n; i++ {
-		vals[i] = x.At(i, j)
+	ps := make([]valRow, n)
+	if was == nil || !seededOrder(x, j, was, ps) {
+		for i := range ps {
+			ps[i] = valRow{x.At(i, j), int32(i)}
+		}
+		slices.SortFunc(ps, func(a, b valRow) int { return cmp.Compare(a.v, b.v) })
 	}
-	sorted := make([]float64, n)
-	copy(sorted, vals)
-	sort.Float64s(sorted)
 
 	distinct := 1
 	for i := 1; i < n; i++ {
-		if sorted[i] > sorted[i-1] {
+		if ps[i].v > ps[i-1].v {
 			distinct++
 		}
 	}
@@ -105,15 +166,15 @@ func binColumn(x *mat.Dense, j int, codes []uint8) FeatureBins {
 	if distinct <= MaxBins {
 		cuts = make([]float64, 0, distinct-1)
 		for i := 1; i < n; i++ {
-			if sorted[i] > sorted[i-1] {
-				cuts = append(cuts, sorted[i])
+			if ps[i].v > ps[i-1].v {
+				cuts = append(cuts, ps[i].v)
 			}
 		}
 	} else {
 		cuts = make([]float64, 0, MaxBins-1)
-		prev := sorted[0]
+		prev := ps[0].v
 		for k := 1; k < MaxBins; k++ {
-			v := sorted[k*n/MaxBins]
+			v := ps[k*n/MaxBins].v
 			if v > prev {
 				cuts = append(cuts, v)
 				prev = v
@@ -127,23 +188,19 @@ func binColumn(x *mat.Dense, j int, codes []uint8) FeatureBins {
 		Hi:    make([]float64, nb),
 		Exact: distinct <= MaxBins,
 	}
-	// Per-bin raw-value ranges from one pass over the sorted column. Every
-	// cut value is present in the data, so bins advance one at a time and
-	// each bin sees at least one value.
+	// Per-bin raw-value ranges and every row's code from one pass over the
+	// sorted column: the bin of v is the number of cuts ≤ v. Every cut
+	// value is present in the data, so bins advance one at a time and each
+	// bin sees at least one value.
 	b := 0
-	fb.Lo[0] = sorted[0]
-	for i := 0; i < n; i++ {
-		for b < len(cuts) && sorted[i] >= cuts[b] {
+	fb.Lo[0] = ps[0].v
+	for _, p := range ps {
+		for b < len(cuts) && p.v >= cuts[b] {
 			b++
-			fb.Lo[b] = sorted[i]
+			fb.Lo[b] = p.v
 		}
-		fb.Hi[b] = sorted[i]
-	}
-
-	// Code every row: the bin of v is the number of cuts ≤ v.
-	for i := 0; i < n; i++ {
-		v := vals[i]
-		codes[i] = uint8(sort.Search(len(cuts), func(k int) bool { return cuts[k] > v }))
+		fb.Hi[b] = p.v
+		codes[p.row] = uint8(b)
 	}
 	return fb
 }

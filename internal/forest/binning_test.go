@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -104,6 +105,64 @@ func TestBinFeaturesQuantileMode(t *testing.T) {
 		if s == 0 {
 			t.Fatalf("bin %d is empty", k)
 		}
+	}
+}
+
+// A seeded binning — each column's sort started from an earlier
+// binning's codes — must equal the cold binning of the same matrix, for a
+// seed from the same matrix, from a drifted one, from an unrelated one
+// (the sort gives up and falls back) and from one of another shape
+// (ignored).
+func TestSeededBinningMatchesCold(t *testing.T) {
+	n := 1000
+	r := rng.New(5)
+	x := mat.NewDense(n, 4)
+	for i := 0; i < n; i++ {
+		x.Set(i, 0, r.Normal())
+		x.Set(i, 1, float64(r.Intn(12)))
+		x.Set(i, 2, math.Round(r.Normal()*40)/40)
+		x.Set(i, 3, 2)
+	}
+	drifted := x.Clone()
+	for i := 0; i < n; i += 20 {
+		drifted.Set(i, 0, x.At(i, 0)+0.01*r.Normal())
+		drifted.Set(i, 2, x.At(i, 2)+0.05)
+	}
+	copy(drifted.Row(7), x.Row(n-7)) // one row crosses many bins
+	reversed := x.Clone()
+	for i := 0; i < n; i++ {
+		reversed.Set(i, 0, -x.At(i, 0))
+		reversed.Set(i, 2, -x.At(i, 2))
+	}
+	seed := BinFeatures(x).Codes()
+	for _, c := range []struct {
+		name string
+		x    *mat.Dense
+		seed *mat.BinMatrix
+	}{
+		{"same matrix", x, seed},
+		{"drifted matrix", drifted, seed},
+		{"unrelated seed", reversed, seed},
+		{"another shape", x, BinFeatures(mat.NewDense(n, 3)).Codes()},
+	} {
+		got, err := binFeatures(context.Background(), c.x, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := BinFeatures(c.x); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: seeded binning differs from the cold one", c.name)
+		}
+	}
+
+	// The seeded sort finishes within its budget from the matrix's own or
+	// a drifted matrix's codes, and gives up on a reversed order instead
+	// of going quadratic.
+	ps := make([]valRow, n)
+	if !seededOrder(drifted, 0, seed.Col(0), ps) {
+		t.Fatal("seeded sort gave up on a drifted column")
+	}
+	if seededOrder(reversed, 0, seed.Col(0), ps) {
+		t.Fatal("seeded sort finished a reversed column within its budget")
 	}
 }
 

@@ -33,7 +33,7 @@ func buildTreeExact(x *mat.Dense, y []int, idx []int, classes int, cfg TreeConfi
 func trainExact(x *mat.Dense, y []int, classes int, cfg Config) *Forest {
 	cfg = cfg.withDefaults(x.Cols())
 	treeCfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Features: cfg.Features}
-	f, _ := bag(context.Background(), x, y, classes, cfg, func(_ int, idx []int, r *rng.Source) *Tree {
+	f, _ := bag(context.Background(), x, y, classes, cfg, func(_ int, idx []int, r *rng.Source, _ []int32) *Tree {
 		return buildTreeExact(x, y, idx, classes, treeCfg, r)
 	})
 	return f

@@ -91,8 +91,13 @@ func train(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, 
 	// Features are binned once per forest — the histogram split search of
 	// every tree shares the read-only codes. Binning consumes no
 	// randomness, so the sort-based reference grower in the tests stays
-	// seed-compatible.
-	binned, err := BinFeaturesContext(ctx, x)
+	// seed-compatible. A retrain starts each column's sort from the
+	// previous record's codes, which leaves the binning as it is.
+	var seed *mat.BinMatrix
+	if prev != nil {
+		seed = prev.codes
+	}
+	binned, err := binFeatures(ctx, x, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -105,8 +110,8 @@ func train(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, 
 		changed = changesSince(prev, cfg, classes, binned, y)
 	}
 	work := make([][2]int, cfg.Trees)
-	f, err := bag(ctx, x, y, classes, cfg, func(t int, idx []int, r *rng.Source) *Tree {
-		g := &binGrow{x: x, bins: binned, y: y, classes: classes, cfg: treeCfg, r: r, changed: changed}
+	f, err := bag(ctx, x, y, classes, cfg, func(t int, idx []int, r *rng.Source, leaves []int32) *Tree {
+		g := &binGrow{x: x, bins: binned, y: y, classes: classes, cfg: treeCfg, r: r, changed: changed, leaves: leaves}
 		if changed != nil {
 			g.prev = &prev.trees[t]
 		}
@@ -135,10 +140,21 @@ func train(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, 
 	return f, rec, nil
 }
 
+// Placement marks of the per-tree leaves slice bag hands its grower: a
+// row no bootstrap draw took, and a drawn row whose leaf the grower did
+// not record. A recorded row holds its leaf's arena index instead.
+const (
+	outOfBag int32 = -1
+	inBag    int32 = -2
+)
+
 // bag trains cfg.Trees trees with grow, each on a bootstrap sample drawn
 // from its own pre-split seed, and scores the ensemble out of bag and on
-// its training rows. grow receives the tree's index.
-func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, grow func(t int, idx []int, r *rng.Source) *Tree) (*Forest, error) {
+// its training rows. grow receives the tree's index and a slice that
+// marks each row outOfBag or inBag; it may overwrite an inBag mark with
+// the arena index of the leaf the row reached during growth, which spares
+// score the row's walk through that tree.
+func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, grow func(t int, idx []int, r *rng.Source, leaves []int32) *Tree) (*Forest, error) {
 	n := x.Rows()
 	root := rng.New(cfg.Seed)
 	f := &Forest{Classes: classes}
@@ -151,24 +167,27 @@ func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, gr
 		seeds[t] = root.Split()
 	}
 	f.Trees = make([]*Tree, cfg.Trees)
-	inBags := make([][]bool, cfg.Trees)
+	leaves := make([][]int32, cfg.Trees)
 
 	err := pipe.FromContext(ctx).ForEach(ctx, cfg.Trees, func(t int) {
 		r := seeds[t]
 		idx := make([]int, n)
-		inBag := make([]bool, n)
+		leaf := make([]int32, n)
+		for i := range leaf {
+			leaf[i] = outOfBag
+		}
 		for i := range idx {
 			s := r.Intn(n)
 			idx[i] = s
-			inBag[s] = true
+			leaf[s] = inBag
 		}
-		f.Trees[t] = grow(t, idx, r)
-		inBags[t] = inBag
+		f.Trees[t] = grow(t, idx, r, leaf)
+		leaves[t] = leaf
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := f.score(ctx, x, y, inBags); err != nil {
+	if err := f.score(ctx, x, y, leaves); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -178,10 +197,13 @@ func bag(ctx context.Context, x *mat.Dense, y []int, classes int, cfg Config, gr
 // rows, fanned out in blocks over the pool carried by ctx. Trees are the
 // outer loop of a block, as in blockProbs. Each row sums every tree's leaf
 // distribution, in tree order, into its full vote and, for each tree
-// whose bag left the row out, into its out-of-bag vote. The full vote is
-// scaled by 1/T before its argmax as blockProbs does, so both verdicts
-// carry the bits of a per-tree serial OOB vote and of PredictAll.
-func (f *Forest) score(ctx context.Context, x *mat.Dense, y []int, inBags [][]bool) error {
+// whose bag left the row out, into its out-of-bag vote. A row whose leaf
+// the grower recorded in leaves reads it there, since the grower routed it
+// with the x <= threshold test Tree.leaf applies; every other row walks
+// the tree. The full vote is scaled by 1/T before its argmax as
+// blockProbs does, so both verdicts carry the bits of a per-tree serial
+// OOB vote and of PredictAll.
+func (f *Forest) score(ctx context.Context, x *mat.Dense, y []int, leaves [][]int32) error {
 	pool := pipe.FromContext(ctx)
 	n := x.Rows()
 	k := f.Classes
@@ -195,14 +217,18 @@ func (f *Forest) score(ctx context.Context, x *mat.Dense, y []int, inBags [][]bo
 		votes := make([]float64, (hi-lo)*k)
 		seen := make([]bool, hi-lo)
 		for t, tree := range f.Trees {
-			inBag := inBags[t]
+			leaf := leaves[t]
 			for r := lo; r < hi; r++ {
-				p := tree.PredictProbs(x.Row(r))
+				l := int(leaf[r])
+				if l < 0 {
+					l = tree.leaf(x.Row(r))
+				}
+				p := tree.LeafProbs(l)
 				a := full[(r-lo)*k : (r-lo+1)*k]
 				for c, v := range p {
 					a[c] += v
 				}
-				if !inBag[r] {
+				if leaf[r] == outOfBag {
 					seen[r-lo] = true
 					o := votes[(r-lo)*k : (r-lo+1)*k]
 					for c, v := range p {

@@ -129,7 +129,7 @@ func trainWindow(x *mat.Dense, y []int, classes int, cfg Config) *Forest {
 	cfg = cfg.withDefaults(x.Cols())
 	bins := BinFeatures(x)
 	treeCfg := TreeConfig{MaxDepth: cfg.MaxDepth, MinLeaf: cfg.MinLeaf, Features: cfg.Features}
-	f, _ := bag(context.Background(), x, y, classes, cfg, func(_ int, idx []int, r *rng.Source) *Tree {
+	f, _ := bag(context.Background(), x, y, classes, cfg, func(_ int, idx []int, r *rng.Source, _ []int32) *Tree {
 		return buildTreeWindow(x, bins, y, idx, classes, treeCfg, r)
 	})
 	return f

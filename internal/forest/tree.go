@@ -135,6 +135,9 @@ type binGrow struct {
 	prev    *treeRecord
 	changed []rowChange
 	rec     *treeRecord
+	// leaves, when set, receives the arena index of the leaf each of the
+	// tree's distinct rows ends in (see bag).
+	leaves []int32
 	// scanned and reused count the row-feature units of the candidate
 	// scans this build ran and replayed: a node's distinct rows per
 	// candidate feature.
@@ -207,6 +210,11 @@ func (g *binGrow) grow(idx []int, lo, depth int, prevNode int32) (int, int32) {
 		}
 	}
 	g.probs = appendLeaf(g.nodes, nodeIdx, g.probs, counts, total)
+	if g.leaves != nil {
+		for _, i := range idx {
+			g.leaves[i] = int32(nodeIdx)
+		}
+	}
 	return nodeIdx, rec
 }
 

@@ -31,7 +31,10 @@ import (
 // numShapes is the count of distinct service temporal shapes.
 const numShapes = int(services.ShapePostEvent) + 1
 
-// Antenna is one generated cell (indoor or outdoor).
+// Antenna is one generated cell (indoor or outdoor). Its hourly series
+// (Dataset.HourlyTotals and friends) read a weight grid that it shares
+// with every antenna of the same activity template and event schedule,
+// so series derivation caches one grid per such pair, not per antenna.
 type Antenna struct {
 	// ID is the dense index within its population (indoor or outdoor).
 	ID int
@@ -61,12 +64,10 @@ type Antenna struct {
 	// shapeTraffic[s] is the total traffic of services with shape s.
 	shapeTraffic [numShapes]float64
 
-	// gridOnce/gridCache lazily hold the antenna's hour-resolved weight
-	// grid (see weightGrid). Built at most once per antenna; the grid
-	// depends only on the template, the event schedule and the calendar,
-	// all of which are frozen at generation time.
-	gridOnce  sync.Once
-	gridCache *weightGrid
+	// grid is the lazy hour-resolved weight grid of the antenna's
+	// (template, event schedule), shared with every antenna that has the
+	// same pair (see weightGrid and shareGrids).
+	grid *weightGrid
 }
 
 // Events returns the venue's scheduled events (empty for most antennas).
@@ -384,8 +385,35 @@ func Generate(cfg Config) *Dataset {
 		ant.fillShapeTraffic(row)
 		ds.Outdoor = append(ds.Outdoor, ant)
 	}
+	shareGrids(ds)
 
 	return ds
+}
+
+// shareGrids points every antenna at the lazy weight grid of its
+// (template, event schedule) pair. Schedules are drawn per site, so every
+// antenna of a venue site shares the site's grid, and every antenna
+// without events shares its template's grid.
+func shareGrids(ds *Dataset) {
+	type key struct {
+		template *temporal.Template
+		site     int // -1 for the schedule with no events
+	}
+	grids := map[key]*weightGrid{}
+	for _, ants := range [][]*Antenna{ds.Indoor, ds.Outdoor} {
+		for _, a := range ants {
+			k := key{a.template, -1}
+			if len(a.events) > 0 {
+				k.site = a.Site
+			}
+			g := grids[k]
+			if g == nil {
+				g = &weightGrid{template: a.template, events: a.events}
+				grids[k] = g
+			}
+			a.grid = g
+		}
+	}
 }
 
 func upper(s string) string {
@@ -443,35 +471,55 @@ func (a *Antenna) fillShapeTraffic(row []float64) {
 }
 
 // weightGrid caches the hour-resolved factors of shapeWeight (the scalar
-// reference in synth_test.go) so the hourly series derivations stop
-// re-walking the template and event schedule per (hour, shape)
-// evaluation. shapeWeight factors as
+// reference in synth_test.go) for one (template, event schedule) pair, so
+// the hourly series derivations stop re-walking the template and event
+// schedule per (hour, shape) evaluation. One grid serves every antenna
+// with that pair: a dataset builds at most one grid per distinct pair (23
+// at seed 1 and scale 0.25, 71 at full scale), each two hours-long float64
+// envelopes and the shape sums, however many antennas read it.
+// shapeWeight factors as
 //
 //	envelope(day, h | surge shift) × ShapeModifier(s, hourOfDay, weekend)
 //
 // and only the post-event shape shifts the envelope's event sampling, so
-// two envelope rows (normal and surge-shifted) plus the 9×24×2 modifier
-// table reconstruct every shapeWeight value with the exact operations of
-// the scalar form — same template lookup, same event accumulation order,
-// same final multiply — keeping the series bit-identical.
+// two envelope rows (normal and surge-shifted) plus the shared 9×24×2
+// modifier table reconstruct every shapeWeight value with the exact
+// operations of the scalar form — same template lookup, same event
+// accumulation order, same final multiply — keeping the series
+// bit-identical. Without events the surge shift changes nothing, so the
+// two rows are one slice.
 type weightGrid struct {
+	template *temporal.Template
+	events   []temporal.Event
+
+	once sync.Once
 	// normal[t] is template weight + active event intensities at absolute
 	// hour t; post[t] samples the events two hours earlier (the Waze
 	// surge shift) while keeping the template weight at t.
 	normal, post []float64
-	// mod[s][h][w] tabulates temporal.ShapeModifier(s, h, weekend w).
-	mod [numShapes][24][2]float64
 	// sums holds shapeWeightSums, accumulated in the reference day→h→s
 	// order from grid values.
 	sums [numShapes]float64
 }
 
+// shapeMod[s][h][w] tabulates temporal.ShapeModifier(s, h, weekend w); it
+// depends on no antenna, so every grid reads the one table.
+var shapeMod = func() (mod [numShapes][24][2]float64) {
+	for s := 0; s < numShapes; s++ {
+		for h := 0; h < 24; h++ {
+			mod[s][h][0] = temporal.ShapeModifier(services.TemporalShape(s), h, false)
+			mod[s][h][1] = temporal.ShapeModifier(services.TemporalShape(s), h, true)
+		}
+	}
+	return mod
+}()
+
 // envelopeAt returns the venue envelope — template weight at (day,
 // hourOfDay) plus the intensities of events active at (evDay, evHour) —
 // accumulated in schedule order, exactly as shapeWeight does.
-func (a *Antenna) envelopeAt(cal *temporal.Calendar, day, hourOfDay, evDay, evHour int) float64 {
-	w := a.template.Weight(cal, day, hourOfDay)
-	for _, ev := range a.events {
+func (g *weightGrid) envelopeAt(cal *temporal.Calendar, day, hourOfDay, evDay, evHour int) float64 {
+	w := g.template.Weight(cal, day, hourOfDay)
+	for _, ev := range g.events {
 		if ev.Active(evDay, evHour) {
 			w += ev.Intensity
 		}
@@ -479,32 +527,30 @@ func (a *Antenna) envelopeAt(cal *temporal.Calendar, day, hourOfDay, evDay, evHo
 	return w
 }
 
-// grid returns the antenna's weight grid, building it on first use. Safe
-// for concurrent callers; the pipeline's temporal fan-out hits the same
-// antenna from several workers.
-func (a *Antenna) grid(cal *temporal.Calendar) *weightGrid {
-	a.gridOnce.Do(func() {
+// built returns g with its rows filled, building them on first use. Safe
+// for concurrent callers; the pipeline's temporal fan-out reaches one
+// grid from several workers through the antennas that share it.
+func (g *weightGrid) built(cal *temporal.Calendar) *weightGrid {
+	g.once.Do(func() {
 		hours := cal.Hours()
-		g := &weightGrid{
-			normal: make([]float64, hours),
-			post:   make([]float64, hours),
-		}
-		for s := 0; s < numShapes; s++ {
-			for h := 0; h < 24; h++ {
-				g.mod[s][h][0] = temporal.ShapeModifier(services.TemporalShape(s), h, false)
-				g.mod[s][h][1] = temporal.ShapeModifier(services.TemporalShape(s), h, true)
-			}
+		g.normal = make([]float64, hours)
+		g.post = g.normal
+		if len(g.events) > 0 {
+			g.post = make([]float64, hours)
 		}
 		for day := 0; day < cal.Days(); day++ {
 			for h := 0; h < 24; h++ {
 				t := day*24 + h
-				g.normal[t] = a.envelopeAt(cal, day, h, day, h)
+				g.normal[t] = g.envelopeAt(cal, day, h, day, h)
+				if len(g.events) == 0 {
+					continue
+				}
 				surgeDay, surgeHour := day, h-2
 				if surgeHour < 0 {
 					surgeHour += 24
 					surgeDay--
 				}
-				g.post[t] = a.envelopeAt(cal, day, h, surgeDay, surgeHour)
+				g.post[t] = g.envelopeAt(cal, day, h, surgeDay, surgeHour)
 			}
 		}
 		// Accumulate the normalization sums in the reference order
@@ -521,9 +567,8 @@ func (a *Antenna) grid(cal *temporal.Calendar) *weightGrid {
 				}
 			}
 		}
-		a.gridCache = g
 	})
-	return a.gridCache
+	return g
 }
 
 // at reconstructs shapeWeight from the grid: envelope × modifier.
@@ -532,14 +577,14 @@ func (g *weightGrid) at(t, hourOfDay, weekend int, s services.TemporalShape) flo
 	if s == services.ShapePostEvent {
 		base = g.post[t]
 	}
-	return base * g.mod[s][hourOfDay][weekend]
+	return base * shapeMod[s][hourOfDay][weekend]
 }
 
 // HourlyTotals returns the antenna's total traffic per absolute hour of the
 // calendar. The series sums to the antenna's total traffic in the dataset
 // matrix (up to floating-point rounding).
 func (d *Dataset) HourlyTotals(a *Antenna) []float64 {
-	g := a.grid(d.Cal)
+	g := a.grid.built(d.Cal)
 	out := make([]float64, d.Cal.Hours())
 	for day := 0; day < d.Cal.Days(); day++ {
 		we := 0
@@ -573,7 +618,7 @@ func (d *Dataset) HourlyTotalsRow(a *Antenna, row []float64) []float64 {
 	for j, v := range row {
 		shapeTraffic[services.Get(j).Shape] += v
 	}
-	g := a.grid(d.Cal)
+	g := a.grid.built(d.Cal)
 	out := make([]float64, d.Cal.Hours())
 	for day := 0; day < d.Cal.Days(); day++ {
 		we := 0
@@ -605,7 +650,7 @@ func (d *Dataset) HourlyService(a *Antenna, serviceID int) []float64 {
 		total = d.Traffic.At(a.ID, serviceID)
 	}
 	shape := services.Get(serviceID).Shape
-	g := a.grid(d.Cal)
+	g := a.grid.built(d.Cal)
 	out := make([]float64, d.Cal.Hours())
 	if g.sums[shape] == 0 {
 		return out

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/envmodel"
@@ -498,18 +499,52 @@ func referenceHourlyService(d *Dataset, a *Antenna, serviceID int) []float64 {
 }
 
 // The weight grid must reproduce the scalar shapeWeight derivations
-// bit-for-bit, event venues (post-event surge shift) included.
+// bit-for-bit, event venues (post-event surge shift) included, for every
+// antenna that reads a shared grid: each grid value is checked against the
+// scalar shapeWeight of the antenna's own template and events.
 func TestWeightGridMatchesScalarReference(t *testing.T) {
 	ds := Generate(Config{Seed: 17, Scale: 0.05, OutdoorCount: 20})
-	checked, eventful := 0, 0
-	ants := append(append([]*Antenna{}, ds.Indoor...), ds.Outdoor[:5]...)
+	readers := map[*weightGrid]int{}
+	ants := append(append([]*Antenna{}, ds.Indoor...), ds.Outdoor...)
 	for _, a := range ants {
+		readers[a.grid]++
+	}
+	checked, eventful := 0, 0
+	// Shared grids read by each kind of antenna: indoor without events,
+	// indoor with events, outdoor.
+	var sharedQuiet, sharedEvent, sharedOutdoor int
+	for _, a := range ants[:len(ds.Indoor)+5] {
 		if len(a.events) > 0 {
 			eventful++
-		} else if checked > 30 && eventful > 0 {
+		} else if checked > 30 && eventful > 0 && !a.Outdoor {
 			continue
 		}
 		checked++
+		if readers[a.grid] > 1 {
+			switch {
+			case a.Outdoor:
+				sharedOutdoor++
+			case len(a.events) > 0:
+				sharedEvent++
+			default:
+				sharedQuiet++
+			}
+		}
+		g := a.grid.built(ds.Cal)
+		for day := 0; day < ds.Cal.Days(); day++ {
+			we := 0
+			if ds.Cal.IsWeekend(day) {
+				we = 1
+			}
+			for h := 0; h < 24; h++ {
+				for s := 0; s < numShapes; s++ {
+					got := g.at(day*24+h, h, we, services.TemporalShape(s))
+					if want := a.shapeWeight(ds.Cal, day, h, services.TemporalShape(s)); got != want {
+						t.Fatalf("antenna %q day %d hour %d shape %d: grid %v != shapeWeight %v", a.Name, day, h, s, got, want)
+					}
+				}
+			}
+		}
 		got := ds.HourlyTotals(a)
 		want := referenceHourlyTotals(ds, a)
 		for h := range want {
@@ -529,5 +564,52 @@ func TestWeightGridMatchesScalarReference(t *testing.T) {
 	}
 	if eventful == 0 {
 		t.Fatal("no event-driven antennas exercised; parity test lost its surge-shift coverage")
+	}
+	if sharedQuiet < 2 || sharedEvent < 2 || sharedOutdoor < 2 {
+		t.Fatalf("shared-grid readers checked: %d indoor without events, %d with events, %d outdoor; want at least 2 of each",
+			sharedQuiet, sharedEvent, sharedOutdoor)
+	}
+}
+
+// Antennas that share a grid may build it from concurrent first uses (the
+// pipeline's temporal fan-out does); every caller must see the finished
+// grid. Run under -race this also checks the build is synchronized.
+func TestSharedGridConcurrentFirstUse(t *testing.T) {
+	ds := Generate(Config{Seed: 17, Scale: 0.05, OutdoorCount: 20})
+	byGrid := map[*weightGrid][]*Antenna{}
+	for _, a := range append(append([]*Antenna{}, ds.Indoor...), ds.Outdoor...) {
+		byGrid[a.grid] = append(byGrid[a.grid], a)
+	}
+	var group []*Antenna
+	for _, ants := range byGrid {
+		if len(ants) > len(group) {
+			group = ants
+		}
+	}
+	if len(group) < 4 {
+		t.Fatalf("the most shared grid has %d readers; want at least 4", len(group))
+	}
+	group = group[:min(len(group), 16)]
+	got := make([][]float64, len(group))
+	var wg sync.WaitGroup
+	for i, a := range group {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			row := ds.Traffic.Row(a.ID)
+			if a.Outdoor {
+				row = ds.OutdoorTraffic.Row(a.ID)
+			}
+			got[i] = ds.HourlyTotalsRow(a, row)
+		}()
+	}
+	wg.Wait()
+	for i, a := range group {
+		want := referenceHourlyTotals(ds, a)
+		for h := range want {
+			if got[i][h] != want[h] {
+				t.Fatalf("antenna %q hour %d: concurrent first use gave %v, reference %v", a.Name, h, got[i][h], want[h])
+			}
+		}
 	}
 }
